@@ -27,40 +27,39 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-# key -> (attribute, parser, default, validator, description)
+# key -> (attribute, parser, validator, description); defaults live in RunConfig
 _KEYS = {
-    "dimension": ("dimension", int, 2, lambda v: v in (2, 3), "2 or 3"),
-    "inner_radius": ("inner_radius", float, 0.4, lambda v: v > 0, "> 0"),
-    "outer_radius": ("outer_radius", float, 1.0, lambda v: v > 0, "> 0"),
-    "resolution": ("resolution", int, 8, lambda v: v >= 4, ">= 4"),
-    "material.kind": ("material_kind", str, "saint-venant-kirchhoff",
+    "dimension": ("dimension", int, lambda v: v in (2, 3), "2 or 3"),
+    "inner_radius": ("inner_radius", float, lambda v: v > 0, "> 0"),
+    "outer_radius": ("outer_radius", float, lambda v: v > 0, "> 0"),
+    "resolution": ("resolution", int, lambda v: v >= 4, ">= 4"),
+    "material.kind": ("material_kind", str,
                       lambda v: v in _MATERIAL_KINDS, f"one of {_MATERIAL_KINDS}"),
-    "material.lambda": ("material_lambda", float, 1.0, lambda v: v >= 0, ">= 0"),
-    "material.mu": ("material_mu", float, 1.0, lambda v: v > 0, "> 0"),
-    "material.gamma0": ("material_gamma0", float, 0.1, lambda v: v > 0, "> 0"),
-    "gamma": ("gamma", float, 1.0, lambda v: v >= 0, ">= 0"),
-    "dt": ("dt", float, 1e-3, lambda v: v > 0, "> 0"),
-    "t_end": ("t_end", float, 2.0, lambda v: v >= 0, ">= 0"),
-    "viscosity": ("viscosity", float, 1.0, lambda v: v > 0, "> 0"),
-    "epsilon1": ("epsilon1", float, 0.1, lambda v: v > 0, "> 0"),
-    "epsilon0": ("epsilon0", float, 1e-2, lambda v: v > 0, "> 0"),
-    "include_convection": ("include_convection", _bool, False, None, "boolean"),
-    "init.amplitude": ("init_amplitude", float, 1e-3, lambda v: v >= 0, ">= 0"),
-    "init.mode": ("init_mode", str, "radial", lambda v: v in _INIT_MODES,
+    "material.lambda": ("material_lambda", float, lambda v: v >= 0, ">= 0"),
+    "material.mu": ("material_mu", float, lambda v: v > 0, "> 0"),
+    "gamma": ("gamma", float, lambda v: v >= 0, ">= 0"),
+    "dt": ("dt", float, lambda v: v > 0, "> 0"),
+    "t_end": ("t_end", float, lambda v: v >= 0, ">= 0"),
+    "viscosity": ("viscosity", float, lambda v: v > 0, "> 0"),
+    "epsilon1": ("epsilon1", float, lambda v: v > 0, "> 0"),
+    "epsilon0": ("epsilon0", float, lambda v: v > 0, "> 0"),
+    "include_convection": ("include_convection", _bool, None, "boolean"),
+    "init.amplitude": ("init_amplitude", float, lambda v: v >= 0, ">= 0"),
+    "init.mode": ("init_mode", str, lambda v: v in _INIT_MODES,
                   f"one of {_INIT_MODES}"),
-    "newton.tol": ("newton_tol", float, 1e-10, lambda v: v > 0, "> 0"),
-    "newton.maxit": ("newton_maxit", int, 25, lambda v: v >= 1, ">= 1"),
-    "coupling.tol": ("coupling_tol", float, 1e-3, lambda v: v > 0, "> 0"),
-    "identity.window_start": ("identity_window_start", float, 0.1, lambda v: v >= 0, ">= 0"),
-    "output.csv": ("output_csv", str, "run.csv", None, "path"),
-    "output.vtk_every": ("output_vtk_every", int, 0, lambda v: v >= 0, ">= 0"),
-    "experiment.kind": ("experiment_kind", str, "single",
+    "newton.tol": ("newton_tol", float, lambda v: v > 0, "> 0"),
+    "newton.maxit": ("newton_maxit", int, lambda v: v >= 1, ">= 1"),
+    "coupling.tol": ("coupling_tol", float, lambda v: v > 0, "> 0"),
+    "identity.window_start": ("identity_window_start", float, lambda v: v >= 0, ">= 0"),
+    "output.csv": ("output_csv", str, None, "path"),
+    "output.vtk_every": ("output_vtk_every", int, lambda v: v >= 0, ">= 0"),
+    "experiment.kind": ("experiment_kind", str,
                         lambda v: v in _EXPERIMENTS, f"one of {_EXPERIMENTS}"),
-    "sweep.gamma": ("sweep_gamma", _float_list, [0.0, 0.5, 1.0, 2.0],
+    "sweep.gamma": ("sweep_gamma", _float_list,
                     lambda v: all(g >= 0 for g in v), "nonnegative list"),
-    "sweep.dt": ("sweep_dt", _float_list, [1e-2, 5e-3, 2.5e-3],
+    "sweep.dt": ("sweep_dt", _float_list,
                  lambda v: all(x > 0 for x in v), "positive list"),
-    "seed": ("seed", int, 0, lambda v: v >= 0, ">= 0"),
+    "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -73,7 +72,6 @@ class RunConfig:
     material_kind: str = "saint-venant-kirchhoff"
     material_lambda: float = 1.0
     material_mu: float = 1.0
-    material_gamma0: float = 0.1
     gamma: float = 1.0
     dt: float = 1e-3
     t_end: float = 2.0
@@ -87,7 +85,7 @@ class RunConfig:
     newton_maxit: int = 25
     coupling_tol: float = 1e-3
     identity_window_start: float = 0.1
-    output_csv: str = "run.csv"
+    output_csv: str = ""  # no CSV unless set; `lagfsi run` defaults it to run.csv
     output_vtk_every: int = 0
     experiment_kind: str = "single"
     sweep_gamma: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0])
@@ -96,7 +94,7 @@ class RunConfig:
 
     def echo(self):
         lines = []
-        for key, (attr, parser, _, _, _) in sorted(_KEYS.items()):
+        for key, (attr, parser, _, _) in sorted(_KEYS.items()):
             val = getattr(self, attr)
             if parser is _float_list:
                 val = ",".join(repr(x) for x in val)
@@ -118,16 +116,14 @@ class RunConfig:
         from .material import make_material
 
         return make_material(
-            self.material_kind, self.material_lambda, self.material_mu,
-            self.material_gamma0,
+            self.material_kind, self.material_lambda, self.material_mu
         )
 
     def make_initial_data(self):
         from .initial_data import InitialData
 
         return InitialData(
-            self.init_mode, self.init_amplitude, self.inner_radius,
-            self.outer_radius, self.seed,
+            self.init_mode, self.init_amplitude, self.inner_radius, self.outer_radius
         )
 
     def coupling_config(self, **overrides):
@@ -147,7 +143,7 @@ class RunConfig:
 
 def parse_config(text):
     """Parse flat key=value text ('#' comments) into a validated RunConfig."""
-    cfg = RunConfig()
+    cfg = RunConfig(output_csv="run.csv")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,7 +155,7 @@ def parse_config(text):
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parser, _, validator, doc = _KEYS[key]
+        attr, parser, validator, doc = _KEYS[key]
         try:
             parsed = parser(value)
         except ValueError as exc:

@@ -165,7 +165,6 @@ def coupled_step(state, cfg, model, step_index=0):
     vs, ps, ss = problem.vspace, problem.pspace, problem.sspace
     iface = problem.interface
     dt = cfg.dt
-    beta, gam_n = solidmod.NEWMARK_BETA, solidmod.NEWMARK_GAMMA
 
     op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps, mass=problem.M_fluid)
     free = problem.free_fluid
@@ -180,11 +179,6 @@ def coupled_step(state, cfg, model, step_index=0):
     if cfg.include_convection:
         rhs_v = rhs_v - fluidmod.convective_term(state.kin, state.v, vs, True)[free]
 
-    pred_w = state.w + dt * state.wt + dt * dt * (0.5 - beta) * state.wtt
-    pred_wt = state.wt + dt * (1 - gam_n) * state.wtt
-    c_tt = 1.0 / (beta * dt * dt)
-    c_t = gam_n / (beta * dt)
-
     nf, nq, nw, nl = len(rhs_v), ps.nscalar, ss.ndof, iface.nlam
 
     def unpack(u):
@@ -192,11 +186,10 @@ def coupled_step(state, cfg, model, step_index=0):
 
     def residual(u):
         vf, q, w, lam = unpack(u)
-        wt = pred_wt + c_t * (w - pred_w)
-        wtt = c_tt * (w - pred_w)
+        wt, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
         Rv = A_ff @ vf - B_f.T @ q + C_f @ lam - rhs_v
         Rq = B_f @ vf
-        Rw = M_s @ (wtt + w) + solidmod.internal_force(model, ss, w) - C_s @ lam
+        Rw = solidmod.solid_residual(model, ss, M_s, w, wtt, C_s @ lam)
         v_tr = np.zeros(vs.ndof)
         v_tr[free] = vf
         Rl = iface.C_fluid.T @ v_tr - C_s.T @ wt - cfg.gamma * (Mg @ lam)
@@ -204,13 +197,13 @@ def coupled_step(state, cfg, model, step_index=0):
 
     def tangent(u):
         _, _, w, _ = unpack(u)
-        A_ww = (c_tt + 1.0) * M_s + solidmod.stiffness_matrix(model, ss, w)
+        A_ww = solidmod.solid_tangent(model, ss, M_s, w, dt)
         return sp.bmat(
             [
                 [A_ff, -B_f.T, None, C_f],
                 [B_f, None, None, None],
                 [None, None, A_ww, -C_s],
-                [C_f.T, None, -c_t * C_s.T, -cfg.gamma * Mg],
+                [C_f.T, None, -solidmod.newmark_rate_factor(dt) * C_s.T, -cfg.gamma * Mg],
             ],
             format="csc",
         )
@@ -237,8 +230,7 @@ def coupled_step(state, cfg, model, step_index=0):
     vf, q, w, lam = unpack(u)
     v = np.zeros(vs.ndof)
     v[free] = vf
-    wt = pred_wt + c_t * (w - pred_w)
-    wtt = c_tt * (w - pred_w)
+    wt, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
     kin = advance_flow_map(state.kin, v, dt)
 
     history = deque(state.history, maxlen=5)
@@ -246,13 +238,6 @@ def coupled_step(state, cfg, model, step_index=0):
     new = CoupledState(problem, v, q, w, wt, wtt, lam, kin, state.time + dt, history)
     new.newton_info = info
     return new
-
-
-def interface_residuals(state, model, gamma):
-    """(velocity-matching L2 residual, stress-matching dual-norm residual)
-    of the transmission conditions, with the elastic traction evaluated
-    from the displacement."""
-    return diagnostics.interface_residual_values(state, model, gamma)
 
 
 def run_simulation(cfg, init, model, mesh):

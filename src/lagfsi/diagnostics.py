@@ -179,7 +179,6 @@ def compute_report(problem, model, cfg, states):
         g["r1_term"] = -ra + rb - rc
 
     Dw_f = iface.solid_grad_qp(st.w)
-    Dwt_f = iface.solid_grad_qp(st.wt)
     Dwtt_f = iface.solid_grad_qp(st.wtt)
     if w3 is not None and v2 is not None:
         trac2 = _facet_traction_material(iface, model, Dw_f, Dwtt_f)
@@ -188,10 +187,7 @@ def compute_report(problem, model, cfg, states):
         rep.D2 = g["d2_visc"] + gamma * g["d2_bnd"]
         g["d3w2"] = 0.5 * ss.integrate(model.d3_form(F, Dwtt, Dwtt, Dwt))
         # commutator remainder couplings at level 2
-        delta1 = remainder_bracket(model, Dw, [Dwt, Dwtt], 1)
-        delta1_f = remainder_bracket(model, Dw_f, [Dwt_f, Dwtt_f], 1)
-        r1_nu = np.einsum("kqia,ka->kqi", delta1_f, iface.normal)
-        rvec = _div_functional(ss, iface, delta1, r1_nu)
+        rvec, r1_nu = remainder(states, model, 1, dt)
         g["r1_vol_w3"] = float(rvec @ w3)
         v2_f = iface.fluid_qp(v2)
         g["r1_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r1_nu, v2_f))
@@ -205,10 +201,7 @@ def compute_report(problem, model, cfg, states):
         g["d3_bnd"] = iface.l2_norm_sq(trac3)
         rep.D3 = g["d3_visc"] + gamma * g["d3_bnd"]
         g["d3w3"] = 0.5 * ss.integrate(model.d3_form(F, Dw3, Dw3, Dwt))
-        delta2 = remainder_bracket(model, Dw, [Dwt, Dwtt, Dw3], 2)
-        delta2_f = remainder_bracket(model, Dw_f, [Dwt_f, Dwtt_f, Dw3_f], 2)
-        r2_nu = np.einsum("kqia,ka->kqi", delta2_f, iface.normal)
-        rvec2 = _div_functional(ss, iface, delta2, r2_nu)
+        rvec2, r2_nu = remainder(states, model, 2, dt)
         g["r2_vol_w4"] = float(rvec2 @ w4)
         v3_f = iface.fluid_qp(v3)
         g["r2_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r2_nu, v3_f))
@@ -283,60 +276,6 @@ def _sobolev_ledger_values(ss, states, dt):
             return nan, nan
         total += ss.broken_sobolev_sq(wk, 4 - k)
     return total, ledger_remainder(total)
-
-
-def level_energy(states, model, j, dt):
-    """(V_j^e, V_j) from the newest state; NaN pair when history is short."""
-    st = states[-1]
-    problem = st.problem
-    ss, vs = problem.sspace, problem.vspace
-    d = problem.mesh.dimension
-    wq = _w_derivative(states, j, dt)
-    wq1 = _w_derivative(states, j + 1, dt)
-    vq = _v_derivative(states, j, dt)
-    if wq is None or wq1 is None:
-        return nan, nan
-    Dwj = ss.grad_qp(wq)
-    if j == 0:
-        quad = ss.integrate(model.secant_form(Dwj, Dwj, Dwj))
-    else:
-        F = ss.grad_qp(st.w) + np.eye(d)
-        quad = ss.integrate(model.d2_form(F, Dwj, Dwj))
-    Ve = 0.5 * (ss.l2_norm_sq(wq1) + ss.l2_norm_sq(wq) + quad)
-    V = Ve + 0.5 * vs.l2_norm_sq(vq) if vq is not None else nan
-    return Ve, V
-
-
-def dissipation(states, model, gamma, j, dt):
-    """D_j with the exact coefficient quadratic form and the level-j
-    boundary traction (scheme traction for j = 0, 1; linearized elastic
-    traction for j = 2, 3)."""
-    st = states[-1]
-    problem = st.problem
-    vs, ss, iface = problem.vspace, problem.sspace, problem.interface
-    vq = _v_derivative(states, j, dt)
-    if vq is None:
-        return nan
-    fluid_part = _visc_form(vs, st.kin.aaT, vs.grad_qp(vq))
-    if j <= 1:
-        lamj = _lam_derivative(states, j, dt)
-        if lamj is None:
-            return nan
-        bnd = iface.l2_norm_sq(iface.trace_qp(lamj))
-    else:
-        wj = _w_derivative(states, j, dt)
-        if wj is None:
-            return nan
-        trac = _facet_traction_material(
-            iface, model, iface.solid_grad_qp(st.w), iface.solid_grad_qp(wj)
-        )
-        bnd = iface.l2_norm_sq(trac)
-    return fluid_part + gamma * bnd
-
-
-def sobolev_ledger(states, dt):
-    st = states[-1]
-    return _sobolev_ledger_values(st.problem.sspace, states, dt)
 
 
 def interface_residual_values(state, model, gamma):
@@ -418,8 +357,6 @@ def energy_identity_residual(reports, gamma, j, window=None):
     if window is not None:
         valid &= (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
     idx = np.flatnonzero(valid)
-    if len(idx) < 2 or not np.all(np.diff(idx) == 1):
-        idx = idx[np.searchsorted(idx, idx[0]):] if len(idx) else idx
     if len(idx) < 2:
         return nan
     sl = slice(idx[0], idx[-1] + 1)

@@ -13,14 +13,13 @@ import numpy as np
 
 
 class InitialData:
-    def __init__(self, mode, amplitude, inner_radius, outer_radius, seed=0):
+    def __init__(self, mode, amplitude, inner_radius, outer_radius):
         if mode not in ("radial", "swirl"):
             raise ValueError(f"unknown init mode {mode!r}")
         self.mode = mode
         self.amplitude = float(amplitude)
         self.ri = float(inner_radius)
         self.ro = float(outer_radius)
-        self.seed = seed
 
     def displacement(self, x):
         if self.mode != "radial":

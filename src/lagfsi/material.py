@@ -66,12 +66,9 @@ class MaterialModel:
         'saint-venant-kirchhoff' or 'linear-isotropic'.
     lam, mu : float
         Lame parameters; lam >= 0 and mu > 0 keep the identity elliptic.
-    gamma0 : float
-        Deformation-smallness radius within which ellipticity persistence
-        is monitored.
     """
 
-    def __init__(self, kind, lam=1.0, mu=1.0, gamma0=0.1):
+    def __init__(self, kind, lam=1.0, mu=1.0):
         if kind not in KINDS:
             raise ConfigError(f"unknown material kind {kind!r}")
         if mu <= 0 or lam < 0:
@@ -80,7 +77,6 @@ class MaterialModel:
         self._svk = KINDS[kind]
         self.lam = float(lam)
         self.mu = float(mu)
-        self.gamma0 = float(gamma0)
         # equilibrium at the identity, checked numerically
         for d in (2, 3):
             res = np.linalg.norm(self.piola_stress(np.eye(d)))
@@ -335,8 +331,8 @@ def _relerr(a, b):
     return float(np.linalg.norm(a - b) / scale)
 
 
-def make_material(kind, lam=1.0, mu=1.0, gamma0=0.1):
-    return MaterialModel(kind, lam, mu, gamma0)
+def make_material(kind, lam=1.0, mu=1.0):
+    return MaterialModel(kind, lam, mu)
 
 
 def stress_rates(model, Dw, rates):

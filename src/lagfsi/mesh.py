@@ -11,7 +11,7 @@ Facet tags: INTERNAL = 0, INTERFACE = 1 (solid/fluid), OUTER = 2.
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, UnsupportedDimensionError
-from .quadrature import facet_rule, simplex_rule
+from .quadrature import facet_rule
 
 FLUID = 0
 SOLID = 1
@@ -244,24 +244,6 @@ def surface_integral(mesh, facet_set, integrand):
             vals = np.array([integrand(xi) for xi in x])
         total += float(np.dot(w, np.asarray(vals, dtype=float)))
     return total
-
-
-def volume_integral(mesh, region, integrand, degree=5):
-    """Cell-quadrature of integrand(x) over one region (test utility)."""
-    qp, qw = simplex_rule(mesh.dimension, degree)
-    total = 0.0
-    for ci in np.flatnonzero(mesh.region == region):
-        verts = mesh.vertices[mesh.cells[ci]]
-        J = (verts[1:] - verts[0]).T
-        detJ = abs(np.linalg.det(J))
-        x = verts[0] + qp @ J.T
-        vals = np.asarray([integrand(xi) for xi in x], dtype=float)
-        total += detJ * np.dot(qw, vals) / _ref_measure(mesh.dimension)
-    return total
-
-
-def _ref_measure(dim):
-    return 1.0  # simplex_rule weights already include the reference measure
 
 
 # -- annular mesh generation ---------------------------------------------------

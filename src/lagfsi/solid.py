@@ -45,21 +45,13 @@ def stiffness_matrix(model, space, w):
     return space.scatter_matrix(K.reshape(nc, nloc * d, nloc * d))
 
 
-def solid_residual(model, space, interface, mass, w, w_tt, traction_qp=None):
-    """Weak residual: M w_tt + F_int(w) + M w - interface traction term."""
+def solid_residual(model, space, mass, w, w_tt, load=None):
+    """Weak residual: M w_tt + F_int(w) + M w - load, where `load` is the
+    assembled interface traction functional (e.g. C_s @ lambda)."""
     R = mass @ (np.asarray(w_tt) + np.asarray(w)) + internal_force(model, space, w)
-    if traction_qp is not None:
-        R -= _traction_functional(space, interface, traction_qp)
+    if load is not None:
+        R -= load
     return R
-
-
-def _traction_functional(space, interface, traction_qp):
-    """Scatter int_Gamma <traction, phi> into solid dofs."""
-    elem = np.einsum("kq,kqa,kqc->kac", interface.wq, interface.sval_cell, traction_qp)
-    out = np.zeros(space.ndof)
-    vdofs = interface.solid_cell_dofs[:, :, None] * space.ncomp + np.arange(space.ncomp)
-    np.add.at(out, vdofs.ravel(), np.ascontiguousarray(elem).ravel())
-    return out
 
 
 def solid_tangent(model, space, mass, w, dt, beta=NEWMARK_BETA):
@@ -67,11 +59,17 @@ def solid_tangent(model, space, mass, w, dt, beta=NEWMARK_BETA):
     return (1.0 / (beta * dt * dt) + 1.0) * mass + stiffness_matrix(model, space, w)
 
 
+def newmark_rate_factor(dt, beta=NEWMARK_BETA, gamma=NEWMARK_GAMMA):
+    """d(w_t)/d(w) of the Newmark closure, gamma / (beta dt)."""
+    return gamma / (beta * dt)
+
+
 def newmark_update(w_new, w_old, wt_old, wtt_old, dt, beta=NEWMARK_BETA, gamma=NEWMARK_GAMMA):
     """Closure giving (w_t, w_tt) at the end of the step from the new w."""
     pred_w = w_old + dt * wt_old + dt * dt * (0.5 - beta) * wtt_old
-    wtt_new = (w_new - pred_w) / (beta * dt * dt)
-    wt_new = wt_old + dt * ((1 - gamma) * wtt_old + gamma * wtt_new)
+    pred_wt = wt_old + dt * (1 - gamma) * wtt_old
+    wt_new = pred_wt + newmark_rate_factor(dt, beta, gamma) * (w_new - pred_w)
+    wtt_new = 1.0 / (beta * dt * dt) * (w_new - pred_w)
     return wt_new, wtt_new
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from lagfsi.config import RunConfig
 from lagfsi.coupling import (
-    CoupledProblem, CouplingConfig, coupled_step, initial_state,
-    interface_residuals, run_simulation,
+    CoupledProblem, CouplingConfig, coupled_step, initial_state, run_simulation,
 )
+from lagfsi.diagnostics import interface_residual_values
 from lagfsi.errors import PreconditionError, SolverError
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
@@ -94,13 +94,13 @@ def test_interface_residuals_equilibrium_and_perturbation():
     cfg = CouplingConfig(gamma=0.0, dt=1e-2)
     z = initial_state(problem, cfg, model, problem.vspace.zeros(),
                       problem.sspace.zeros(), problem.sspace.zeros())
-    assert interface_residuals(z, model, 0.0) == (0.0, 0.0)
+    assert interface_residual_values(z, model, 0.0) == (0.0, 0.0)
     # baseline with matching traces, then perturb v on the interface by delta
     iface = problem.interface
     fun = lambda x: 1e-3 * np.array([x[1], -x[0]])
     z.v = problem.vspace.interpolate(fun)
     z.wt = problem.sspace.interpolate(fun)
-    vel0, _ = interface_residuals(z, model, 0.0)
+    vel0, _ = interface_residual_values(z, model, 0.0)
     assert vel0 <= 1e-14
     delta = problem.vspace.zeros()
     tr_dofs = iface.trace_to_fluid
@@ -109,7 +109,7 @@ def test_interface_residuals_equilibrium_and_perturbation():
     for i, dof in enumerate(tr_dofs):
         delta[2 * dof:2 * dof + 2] = vals[i]
     z.v = z.v + delta
-    vel1, _ = interface_residuals(z, model, 0.0)
+    vel1, _ = interface_residual_values(z, model, 0.0)
     norm_delta = np.sqrt(iface.l2_norm_sq(iface.fluid_qp(delta)))
     assert vel1 == pytest.approx(norm_delta, rel=1e-12)
 
@@ -119,6 +119,16 @@ def test_interface_residuals_small_after_step():
     rep = reports[-1]
     assert rep.iface_vel <= 1e-3
     assert rep.iface_stress <= 1e-3
+
+
+def test_library_run_writes_no_files(tmp_path, monkeypatch):
+    # only `lagfsi run` defaults the CSV path; a RunConfig built in code does not
+    monkeypatch.chdir(tmp_path)
+    cfg = RunConfig(resolution=4, dt=1e-2, t_end=1e-2)
+    reports, _ = run_simulation(cfg.coupling_config(), cfg.make_initial_data(),
+                                cfg.make_material(), cfg.make_mesh())
+    assert len(reports) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_t_end_zero():

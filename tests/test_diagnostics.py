@@ -7,8 +7,8 @@ from lagfsi.config import RunConfig
 from lagfsi.coupling import CoupledProblem, CoupledState, CouplingConfig, run_simulation
 from lagfsi.diagnostics import (
     CSV_COLUMNS, RadialMultiplier, ScalarField, TrajectoryRecorder,
-    backward_difference, coefficient_rate_terms, dissipation,
-    energy_identity_residual, fit_decay_rate, ledger_remainder, level_energy,
+    backward_difference, coefficient_rate_terms, compute_report,
+    energy_identity_residual, fit_decay_rate, ledger_remainder,
     multiplier_identity_residual, perturbation_integral_R1, remainder, write_csv,
 )
 from lagfsi.errors import FitDomainError
@@ -39,6 +39,10 @@ def _zero_state(problem, model):
                          problem.sspace.zeros(), problem.sspace.zeros())
 
 
+def _report(problem, model, states, gamma=1.0):
+    return compute_report(problem, model, CouplingConfig(gamma=gamma, dt=1e-2), states)
+
+
 def test_backward_difference_polynomial_exactness():
     dt = 0.1
     ts = np.arange(6) * dt
@@ -54,13 +58,12 @@ def test_backward_difference_polynomial_exactness():
 def test_level_energy_zero_state(problem):
     prob, model = problem
     state = _zero_state(prob, model)
-    history = [state] * 5
+    rep = _report(prob, model, [state] * 5)
     for j in range(4):
-        Ve, V = level_energy(history, model, j, 1e-2)
-        assert Ve == 0.0 and V == 0.0
+        assert getattr(rep, f"V{j}e") == 0.0 and getattr(rep, f"V{j}") == 0.0
     # insufficient history yields the not-available marker
-    Ve, V = level_energy([state], model, 3, 1e-2)
-    assert np.isnan(Ve) and np.isnan(V)
+    rep = _report(prob, model, [state])
+    assert np.isnan(rep.V3e) and np.isnan(rep.V3)
 
 
 def test_level_energy_rigid_translation(problem):
@@ -69,10 +72,10 @@ def test_level_energy_rigid_translation(problem):
     state = _zero_state(prob, model)
     c = np.array([0.02, -0.01])
     state.w = prob.sspace.interpolate(lambda x: c)
-    Ve, V = level_energy([state], model, 0, 1e-2)
+    rep = _report(prob, model, [state])
     area = prob.mesh.region_volume(SOLID)
-    assert Ve == pytest.approx(0.5 * (c @ c) * area, rel=1e-12)
-    assert V == pytest.approx(Ve, rel=1e-12)
+    assert rep.V0e == pytest.approx(0.5 * (c @ c) * area, rel=1e-12)
+    assert rep.V0 == pytest.approx(rep.V0e, rel=1e-12)
 
 
 def test_level_energy_secant_oracle(problem):
@@ -96,15 +99,15 @@ def test_level_energy_secant_oracle(problem):
 def test_dissipation_structure(problem):
     prob, model = problem
     state = _zero_state(prob, model)
-    assert dissipation([state], model, 1.0, 0, 1e-2) == 0.0
+    assert _report(prob, model, [state]).D0 == 0.0
     rng = np.random.default_rng(1)
     state.v = 1e-3 * rng.standard_normal(prob.vspace.ndof)
     state.lam = 1e-3 * rng.standard_normal(prob.interface.nlam)
     # at a = I the fluid part is the plain gradient norm
-    d0 = dissipation([state], model, 0.0, 0, 1e-2)
+    d0 = _report(prob, model, [state], gamma=0.0).D0
     assert d0 == pytest.approx(prob.vspace.grad_norm_sq(state.v), rel=1e-12)
-    d1 = dissipation([state], model, 1.0, 0, 1e-2)
-    d2 = dissipation([state], model, 2.0, 0, 1e-2)
+    d1 = _report(prob, model, [state], gamma=1.0).D0
+    d2 = _report(prob, model, [state], gamma=2.0).D0
     assert d2 - d1 == pytest.approx(d1 - d0, rel=1e-10)  # linear in gamma
 
 

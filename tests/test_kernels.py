@@ -1,17 +1,9 @@
-"""Parity between the compiled kernels and the pure-numpy fallback."""
+"""Assembly kernels on random 2-D (6-node) and 3-D (10-node) inputs."""
 
 import numpy as np
 import pytest
 
-from lagfsi import _kernels_py as kpy
-
-try:
-    from lagfsi import _kernels as kc
-
-    HAVE_COMPILED = True
-except ImportError:
-    kc = None
-    HAVE_COMPILED = False
+from lagfsi import kernels
 
 
 def _inputs(d, seed=0):
@@ -25,47 +17,40 @@ def _inputs(d, seed=0):
     return F, G, w, aaT, valp
 
 
-def test_backend_selection_env(monkeypatch):
-    import importlib
-
-    import lagfsi.kernels as kernels
-
-    monkeypatch.setenv("LAGFSI_PURE_PYTHON", "1")
-    importlib.reload(kernels)
-    assert kernels.BACKEND == "python"
-    monkeypatch.delenv("LAGFSI_PURE_PYTHON")
-    importlib.reload(kernels)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels unavailable")
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", [0, 1])
-def test_parity(d, kind):
-    F, G, w, aaT, valp = _inputs(d)
-    inv1, det1 = kpy.inv_det(F)
-    inv2, det2 = kc.inv_det(F)
-    assert np.abs(inv1 - inv2).max() < 1e-13
-    assert np.abs(det1 - det2).max() < 1e-13
-    p1 = kpy.pk1(F, 1.3, 0.8, kind)
-    p2 = kc.pk1(F, 1.3, 0.8, kind)
-    assert np.abs(p1 - p2).max() < 1e-13
-    r1 = kpy.elem_residual(p1, G, w)
-    r2 = kc.elem_residual(p1, G, w)
-    assert np.abs(r1 - r2).max() < 1e-12
-    k1 = kpy.elem_tangent(F, G, w, 1.3, 0.8, kind)
-    k2 = kc.elem_tangent(F, G, w, 1.3, 0.8, kind)
-    assert np.abs(k1 - k2).max() < 1e-12
-    v1 = kpy.visc_elements(aaT, G, w)
-    v2 = kc.visc_elements(aaT, G, w)
-    assert np.abs(v1 - v2).max() < 1e-12
-    b1 = kpy.div_elements(F, G, valp, w)
-    b2 = kc.div_elements(F, G, valp, w)
-    assert np.abs(b1 - b2).max() < 1e-12
-
-
 def test_inv_det_roundtrip():
     for d in (2, 3):
         F, *_ = _inputs(d, seed=3)
-        inv, det = kpy.inv_det(F)
+        inv, det = kernels.inv_det(F)
         assert np.abs(np.einsum("...ij,...jk->...ik", F, inv) - np.eye(d)).max() < 1e-12
         assert np.abs(det - np.linalg.det(F)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [0, 1])
+def test_tangent_is_residual_derivative(d, kind):
+    # perturbing the nodal values by U moves F by sum_b U[b] (x) G[b]; the
+    # element tangent contracted with U is the derivative of the residual
+    F, G, w, _, _ = _inputs(d, seed=5)
+    U = np.random.default_rng(6).standard_normal((G.shape[0], G.shape[2], d))
+    dF = np.einsum("cbj,cqbe->cqje", U, G)
+    K = kernels.elem_tangent(F, G, w, 1.3, 0.8, kind)
+    KU = np.einsum("caibj,cbj->cai", K, U)
+
+    def central(h):
+        Rp = kernels.elem_residual(kernels.pk1(F + h * dF, 1.3, 0.8, kind), G, w)
+        Rm = kernels.elem_residual(kernels.pk1(F - h * dF, 1.3, 0.8, kind), G, w)
+        return np.abs((Rp - Rm) / (2 * h) - KU).max() / np.abs(KU).max()
+
+    if kind == 0:  # linear stress: the difference quotient is exact
+        assert central(1e-2) < 1e-12
+    else:  # cubic stress: the error is h^2/6 times the third derivative
+        e1, e2 = central(1e-4), central(5e-5)
+        assert e1 < 1e-5
+        assert e2 == pytest.approx(e1 / 4, rel=0.01)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_visc_elements_symmetric(d):
+    _, G, w, aaT, _ = _inputs(d, seed=7)
+    K = kernels.visc_elements(aaT, G, w)
+    assert np.abs(K - np.swapaxes(K, 1, 2)).max() < 1e-12 * np.abs(K).max()

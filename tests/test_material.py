@@ -317,10 +317,10 @@ def test_ellipticity_persistence():
     # within the configured smallness radius the sampled margin keeps
     # at least half the identity margin
     rng = np.random.default_rng(13)
-    mdl = make_material(SVK, 1.0, 1.0, gamma0=0.1)
+    mdl = make_material(SVK, 1.0, 1.0)
     for _ in range(20):
         Dw = rng.standard_normal((2, 2))
-        Dw *= mdl.gamma0 / max(1e-12, np.abs(Dw).max())
+        Dw *= 0.1 / max(1e-12, np.abs(Dw).max())
         margin = mdl.ellipticity_margin(F=np.eye(2) + Dw, dim=2, nsamples=2000,
                                         rng=rng)
         assert margin >= mdl.mu / 2
