@@ -105,6 +105,14 @@ class CoupledState:
         self.history = history if history is not None else deque(maxlen=5)
         self._cache = {}
 
+    def snapshot(self):
+        """This state without a history ring, sharing its arrays and cache, so
+        that a ring of snapshots keeps no earlier ring alive."""
+        snap = CoupledState(self.problem, self.v, self.q, self.w, self.wt, self.wtt,
+                            self.lam, self.kin, self.time, history=())
+        snap._cache = self._cache
+        return snap
+
     def past(self):
         """History including self, oldest first."""
         return list(self.history) + [self]
@@ -222,9 +230,9 @@ def coupled_step(state, cfg, model, step_index=0):
         residual, counted_tangent, u0, tol=cfg.newton_tol, maxit=cfg.newton_maxit
     )
     log.info(
-        "step %d t=%.6g newton iterations=%d residuals=%s",
+        "step %d t=%.6g newton iterations=%d residuals=%s factorizations=%d krylov_its=%d",
         step_index, state.time + dt, info["iterations"],
-        ["%.3e" % r for r in info["residuals"]],
+        ["%.3e" % r for r in info["residuals"]], info["factorizations"], info["krylov_its"],
     )
 
     vf, q, w, lam = unpack(u)
@@ -234,7 +242,7 @@ def coupled_step(state, cfg, model, step_index=0):
     kin = advance_flow_map(state.kin, v, dt)
 
     history = deque(state.history, maxlen=5)
-    history.append(state)
+    history.append(state.snapshot())
     new = CoupledState(problem, v, q, w, wt, wtt, lam, kin, state.time + dt, history)
     new.newton_info = info
     return new

@@ -180,6 +180,7 @@ def compute_report(problem, model, cfg, states):
 
     Dw_f = iface.solid_grad_qp(st.w)
     Dwtt_f = iface.solid_grad_qp(st.wtt)
+    rates, rates_f = [Dwt, Dwtt], [iface.solid_grad_qp(st.wt), Dwtt_f]
     if w3 is not None and v2 is not None:
         trac2 = _facet_traction_material(iface, model, Dw_f, Dwtt_f)
         g["d2_visc"] = _visc_form(vs, aaT, vs.grad_qp(v2))
@@ -187,21 +188,21 @@ def compute_report(problem, model, cfg, states):
         rep.D2 = g["d2_visc"] + gamma * g["d2_bnd"]
         g["d3w2"] = 0.5 * ss.integrate(model.d3_form(F, Dwtt, Dwtt, Dwt))
         # commutator remainder couplings at level 2
-        rvec, r1_nu = remainder(states, model, 1, dt)
+        rvec, r1_nu = remainder(states, model, 1, dt, (Dw, rates, Dw_f, rates_f))
         g["r1_vol_w3"] = float(rvec @ w3)
         v2_f = iface.fluid_qp(v2)
         g["r1_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r1_nu, v2_f))
         g["r1_surf_lam"] = iface.integrate(np.einsum("kqi,kqi->kq", r1_nu, trac2))
 
     if w4 is not None and v3 is not None:
-        Dw3 = ss.grad_qp(w3)
         Dw3_f = iface.solid_grad_qp(w3)
         trac3 = _facet_traction_material(iface, model, Dw_f, Dw3_f)
         g["d3_visc"] = _visc_form(vs, aaT, vs.grad_qp(v3))
         g["d3_bnd"] = iface.l2_norm_sq(trac3)
         rep.D3 = g["d3_visc"] + gamma * g["d3_bnd"]
         g["d3w3"] = 0.5 * ss.integrate(model.d3_form(F, Dw3, Dw3, Dwt))
-        rvec2, r2_nu = remainder(states, model, 2, dt)
+        rvec2, r2_nu = remainder(states, model, 2, dt,
+                                 (Dw, rates + [Dw3], Dw_f, rates_f + [Dw3_f]))
         g["r2_vol_w4"] = float(rvec2 @ w4)
         v3_f = iface.fluid_qp(v3)
         g["r2_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r2_nu, v3_f))
@@ -235,26 +236,29 @@ def _div_functional(space, iface, delta_vol, delta_nu_facet):
     return out
 
 
-def remainder(states, model, j, dt):
+def remainder(states, model, j, dt, grads=None):
     """Weak commutator remainder r_j and its interface trace r_{j,Gc}.
 
     Needs discrete time derivatives of w up to order j + 1; returns the
     functional over solid test functions and the facet-point values of the
-    bracketed tensor times nu.
+    bracketed tensor times nu.  A caller that already holds the gradients
+    passes them as `grads` = (Dw, rates, Dw_f, rates_f): Dw and the
+    gradients of w^(1..j+1) at solid quadrature points, then the same at
+    interface quadrature points; otherwise they are computed from `states`.
     """
     st = states[-1]
     problem = st.problem
     ss, iface = problem.sspace, problem.interface
-    rates = [ss.grad_qp(st.wt), ss.grad_qp(st.wtt)]
-    rates_f = [iface.solid_grad_qp(st.wt), iface.solid_grad_qp(st.wtt)]
-    if j == 2:
-        w3 = _w_derivative(states, 3, dt)
-        if w3 is None:
-            raise PreconditionError("remainder at j=2 needs history depth >= 2")
-        rates.append(ss.grad_qp(w3))
-        rates_f.append(iface.solid_grad_qp(w3))
-    Dw = ss.grad_qp(st.w)
-    Dw_f = iface.solid_grad_qp(st.w)
+    if grads is None:
+        fields = [st.wt, st.wtt]
+        if j == 2:
+            w3 = _w_derivative(states, 3, dt)
+            if w3 is None:
+                raise PreconditionError("remainder at j=2 needs history depth >= 2")
+            fields.append(w3)
+        grads = (ss.grad_qp(st.w), [ss.grad_qp(f) for f in fields],
+                 iface.solid_grad_qp(st.w), [iface.solid_grad_qp(f) for f in fields])
+    Dw, rates, Dw_f, rates_f = grads
     delta = remainder_bracket(model, Dw, rates, j)
     delta_f = remainder_bracket(model, Dw_f, rates_f, j)
     r_nu = np.einsum("kqia,ka->kqi", delta_f, iface.normal)

@@ -8,6 +8,7 @@ stiffness built from the energy Hessian at the current gradient.
 import logging
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import SolverError
@@ -73,27 +74,82 @@ def newmark_update(w_new, w_old, wt_old, wtt_old, dt, beta=NEWMARK_BETA, gamma=N
     return wt_new, wtt_new
 
 
+# Minimum degree on the pattern of J + J^T: the coupled tangent is
+# structurally symmetric, and on 3-D res 4 this cuts the LU fill of COLAMD
+# from 13.8 M to 4.2 M entries and the factor time from 3.4 s to 0.75 s
+# (one core).
+LU_ORDERING = "MMD_AT_PLUS_A"
+# Keep the diagonal pivot unless it is 100x below its column maximum: with
+# SuperLU's default of 1.0 row swaps undo the ordering (fill 5.2 M on 3-D).
+LU_PIVOT_THRESHOLD = 0.01
+# Relative residual of each Newton correction: the corrections then agree
+# with a fresh direct solve to about 1e-14.
+KRYLOV_RTOL = 1e-13
+# The LU of a step's first tangent solves the second tangent in 3 GMRES
+# iterations (2-D res 5 and 3-D res 4); more than this means it is stale.
+KRYLOV_MAXIT = 10
+
+
+def _factor(J, history):
+    try:
+        return spla.splu(J, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESHOLD)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"tangent factorization failed: {exc}", history=history) from exc
+
+
+def _krylov_solve(J, lu, b):
+    """Solve J x = b by GMRES on J lu^{-1} (right preconditioning, so the
+    residual GMRES tests is the true one).  Returns (x, iterations), x None
+    if KRYLOV_RTOL is not met within KRYLOV_MAXIT iterations."""
+    its = []
+    op = spla.LinearOperator(J.shape, lambda y: J @ lu.solve(y), dtype=float)
+    y, info = spla.gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_MAXIT, maxiter=1,
+                         callback=its.append, callback_type="pr_norm")
+    return (lu.solve(y) if info == 0 else None), len(its)
+
+
 def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25):
-    """Plain Newton iteration with an absolute residual-norm stop.
+    """Newton iteration with an absolute residual-norm stop.
 
-    Returns (u, info) where info carries the iteration count and the
-    residual-norm history; raises SolverError (with the history attached)
-    if maxit is exhausted.
+    The first tangent is LU-factored once; every correction is then solved
+    on the current tangent by GMRES preconditioned with that factor, and the
+    factor is rebuilt at the current tangent only when GMRES misses
+    KRYLOV_RTOL.  Returns (u, info) where info carries the iteration count,
+    the residual-norm history and the counts of factorizations and GMRES
+    iterations; raises SolverError (with the history attached) if maxit is
+    exhausted or a tangent cannot be factored or solved.
     """
-    import scipy.sparse.linalg as spla
-
     u = np.array(u0, dtype=float)
     history = []
+    info = {"iterations": 0, "residuals": history, "factorizations": 0, "krylov_its": 0}
+    lu = None
     for it in range(maxit + 1):
         R = residual(u)
         nrm = float(np.linalg.norm(R))
         history.append(nrm)
         if nrm <= tol:
-            return u, {"iterations": it, "residuals": history}
+            info["iterations"] = it
+            return u, info
         if it == maxit:
             break
-        J = tangent(u)
-        du = spla.spsolve(J.tocsc(), -R)
+        J = tangent(u).tocsc()
+        reused = lu is not None
+        if not reused:
+            lu = _factor(J, history)
+            info["factorizations"] += 1
+        du, its = _krylov_solve(J, lu, -R)
+        info["krylov_its"] += its
+        if du is None and reused:
+            lu = _factor(J, history)
+            info["factorizations"] += 1
+            du, its = _krylov_solve(J, lu, -R)
+            info["krylov_its"] += its
+        if du is None:
+            raise SolverError(
+                f"GMRES missed {KRYLOV_RTOL:.0e} in {KRYLOV_MAXIT} iterations on a "
+                f"freshly factored tangent at Newton iteration {it}",
+                history=history,
+            )
         u = u + du
     raise SolverError(
         f"Newton failed to reach {tol:.1e} in {maxit} iterations "

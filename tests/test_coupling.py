@@ -51,6 +51,14 @@ def test_linear_single_newton_iteration():
     assert state.newton_info["iterations"] == 1
 
 
+def test_step_factors_its_tangent_once():
+    _, state = _small_run(dt=5e-3, t_end=5e-3)
+    info = state.newton_info
+    assert info["iterations"] == 2
+    assert info["factorizations"] == 1
+    assert info["krylov_its"] >= 2
+
+
 def _manufactured_state(problem, model, cfg):
     vs, ss = problem.vspace, problem.sspace
     from lagfsi.kinematics import KinematicState, advance_flow_map
@@ -193,9 +201,19 @@ def test_gamma_monotonicity_of_averaged_energy(gamma_sweep_averages):
 
 
 def test_history_ring_depth():
-    reports, state = _small_run(t_end=0.08, dt=1e-2)
+    reports, state = _small_run(t_end=0.2, dt=1e-2)
     assert len(state.history) == 5
     assert state.past()[-1] is state
+    # the ring holds history-free snapshots: no earlier ring stays reachable
+    seen, todo = {id(state)}, [state]
+    while todo:
+        for prev in todo.pop().history:
+            if id(prev) not in seen:
+                seen.add(id(prev))
+                todo.append(prev)
+    assert len(seen) <= 6
+    snap = state.snapshot()
+    assert not snap.history and snap.w is state.w and snap.q_qp() is state.q_qp()
 
 
 def test_three_dimensional_step():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lagfsi.coupling import CoupledProblem
@@ -180,6 +181,44 @@ def test_newton_maxit_raises(tiny):
     with pytest.raises(SolverError) as err:
         newton_solve(residual, tangent, ss.zeros(), tol=1e-14, maxit=1)
     assert err.value.history is not None and len(err.value.history) >= 1
+
+
+def test_newton_refactors_a_stale_tangent():
+    # R(u) = A u + u^3 - b: the cubic term moves the tangent far from the
+    # first iterate's, so the reused LU no longer serves GMRES
+    n = 100
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) + sp.identity(n)
+    b = np.random.default_rng(5).uniform(1.0, 10.0, n)
+
+    def residual(u):
+        return A @ u + u**3 - b
+
+    def tangent(u):
+        return A + sp.diags(3 * u**2)
+
+    u, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10)
+    assert info["factorizations"] >= 2
+    assert np.linalg.norm(residual(u)) <= 1e-10
+    # the iterates are those of Newton with dense direct solves
+    ref = np.zeros(n)
+    for r in info["residuals"][:-1]:
+        assert np.linalg.norm(residual(ref)) == pytest.approx(r, rel=1e-9, abs=1e-13)
+        ref = ref - np.linalg.solve(tangent(ref).toarray(), residual(ref))
+
+
+def test_newton_singular_tangent_raises():
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6)).tolil()
+    A[2, :] = 0.0
+    calls = []
+
+    def tangent(u):
+        calls.append(u)
+        return A.tocsc()
+
+    with pytest.raises(SolverError) as err:
+        newton_solve(lambda u: A @ u - np.ones(6), tangent, np.zeros(6))
+    assert len(calls) == 1
+    assert err.value.history == [pytest.approx(np.sqrt(6.0))]
 
 
 def test_newmark_closure_exact():
