@@ -14,15 +14,6 @@ _INIT_MODES = ("radial", "swirl")
 _EXPERIMENTS = ("single", "gamma-sweep", "dt-study", "identity-suite", "material-check")
 
 
-def _bool(text):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -43,13 +34,11 @@ _KEYS = {
     "viscosity": ("viscosity", float, lambda v: v > 0, "> 0"),
     "epsilon1": ("epsilon1", float, lambda v: v > 0, "> 0"),
     "epsilon0": ("epsilon0", float, lambda v: v > 0, "> 0"),
-    "include_convection": ("include_convection", _bool, None, "boolean"),
     "init.amplitude": ("init_amplitude", float, lambda v: v >= 0, ">= 0"),
     "init.mode": ("init_mode", str, lambda v: v in _INIT_MODES,
                   f"one of {_INIT_MODES}"),
     "newton.tol": ("newton_tol", float, lambda v: v > 0, "> 0"),
     "newton.maxit": ("newton_maxit", int, lambda v: v >= 1, ">= 1"),
-    "coupling.tol": ("coupling_tol", float, lambda v: v > 0, "> 0"),
     "identity.window_start": ("identity_window_start", float, lambda v: v >= 0, ">= 0"),
     "output.csv": ("output_csv", str, None, "path"),
     "output.vtk_every": ("output_vtk_every", int, lambda v: v >= 0, ">= 0"),
@@ -78,12 +67,10 @@ class RunConfig:
     viscosity: float = 1.0
     epsilon1: float = 0.1
     epsilon0: float = 1e-2
-    include_convection: bool = False
     init_amplitude: float = 1e-3
     init_mode: str = "radial"
     newton_tol: float = 1e-10
     newton_maxit: int = 25
-    coupling_tol: float = 1e-3
     identity_window_start: float = 0.1
     output_csv: str = ""  # no CSV unless set; `lagfsi run` defaults it to run.csv
     output_vtk_every: int = 0
@@ -98,8 +85,6 @@ class RunConfig:
             val = getattr(self, attr)
             if parser is _float_list:
                 val = ",".join(repr(x) for x in val)
-            elif parser is _bool:
-                val = "true" if val else "false"
             lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
@@ -133,8 +118,7 @@ class RunConfig:
             gamma=self.gamma, dt=self.dt, t_end=self.t_end,
             newton_tol=self.newton_tol, newton_maxit=self.newton_maxit,
             epsilon1=self.epsilon1, viscosity=self.viscosity,
-            include_convection=self.include_convection, epsilon0=self.epsilon0,
-            coupling_tol=self.coupling_tol, csv_path=self.output_csv,
+            epsilon0=self.epsilon0, csv_path=self.output_csv,
             vtk_every=self.output_vtk_every,
         )
         kw.update(overrides)

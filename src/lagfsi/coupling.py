@@ -20,7 +20,7 @@ gamma ||lambda||^2, which is what the energy-identity diagnostics check.
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,10 +45,8 @@ class CouplingConfig:
     newton_maxit: int = 25
     epsilon1: float = 0.1
     viscosity: float = 1.0
-    include_convection: bool = False
     epsilon0: float = 1e-2  # smallness screen on initial data norms
     allow_large: bool = False
-    coupling_tol: float = 1e-3
     csv_path: str = ""
     vtk_every: int = 0
     vtk_prefix: str = "state"
@@ -71,22 +69,17 @@ class CoupledProblem:
         d = mesh.dimension
         self.mesh = mesh
         self.model = model
-        self.vspace = FieldSpace(mesh, meshmod.FLUID, "fluid-velocity", 2, d)
-        self.pspace = FieldSpace(mesh, meshmod.FLUID, "fluid-pressure", 1, 1, quad_degree=5)
-        self.sspace = FieldSpace(mesh, meshmod.SOLID, "solid-displacement", 2, d)
+        self.vspace = FieldSpace(mesh, meshmod.FLUID, 2, d)
+        self.pspace = FieldSpace(mesh, meshmod.FLUID, 1, 1, quad_degree=5)
+        self.sspace = FieldSpace(mesh, meshmod.SOLID, 2, d)
         assert self.vspace.degree == self.pspace.degree + 1  # inf-sup stable pair
         self.interface = InterfaceData(mesh, self.vspace, self.sspace, self.pspace)
         self.M_fluid = self.vspace.mass_matrix()
         self.M_solid = self.sspace.mass_matrix()
         self.free_fluid = self.vspace.free_mask(meshmod.OUTER)
-        self.outer_tables = fluidmod._outer_facet_tables(mesh, self.vspace, self.pspace)
-        self.identity_dofs = self.vspace.interpolate(lambda x: x)
+        self.outer_tables = fluidmod._outer_facet_tables(mesh, self.pspace)
         # interface trace nodes never sit on the outer boundary
         assert self.free_fluid[self.interface.C_fluid.tocoo().row].all()
-
-    def sizes(self):
-        nf = int(self.free_fluid.sum())
-        return nf, self.pspace.nscalar, self.sspace.ndof, self.interface.nlam
 
 
 class CoupledState:
@@ -112,6 +105,13 @@ class CoupledState:
                             self.lam, self.kin, self.time, history=())
         snap._cache = self._cache
         return snap
+
+    def next_history(self):
+        """The history ring of the state one step after this one: this ring
+        with this state's snapshot appended."""
+        history = deque(self.history, maxlen=5)
+        history.append(self.snapshot())
+        return history
 
     def past(self):
         """History including self, oldest first."""
@@ -140,10 +140,7 @@ def initial_state(problem, cfg, model, v0, w0, w1):
         )
     kin = KinematicState.initial(vs, iface)
     q0 = fluidmod.solve_initial_pressure(problem, v0, w0, model)
-    Dw_f = iface.solid_grad_qp(w0)
-    trac = np.stack(
-        [model.traction(Dw_f[k], iface.normal[k]) for k in range(iface.nfac)]
-    ) if iface.nfac else np.zeros((0, iface.nqf, vs.ncomp))
+    trac = model.traction(iface.solid_grad_qp(w0), iface.normal[:, None, :])
     lam0 = iface.project(trac)
     rhs = iface.C_solid @ lam0 - solidmod.internal_force(model, ss, w0) - problem.M_solid @ w0
     wtt0 = spla.spsolve(problem.M_solid.tocsc(), rhs)
@@ -184,8 +181,6 @@ def coupled_step(state, cfg, model, step_index=0):
     Mg = iface.M_vec
 
     rhs_v = (problem.M_fluid @ state.v)[free] / dt
-    if cfg.include_convection:
-        rhs_v = rhs_v - fluidmod.convective_term(state.kin, state.v, vs, True)[free]
 
     nf, nq, nw, nl = len(rhs_v), ps.nscalar, ss.ndof, iface.nlam
 
@@ -241,9 +236,8 @@ def coupled_step(state, cfg, model, step_index=0):
     wt, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
     kin = advance_flow_map(state.kin, v, dt)
 
-    history = deque(state.history, maxlen=5)
-    history.append(state.snapshot())
-    new = CoupledState(problem, v, q, w, wt, wtt, lam, kin, state.time + dt, history)
+    new = CoupledState(problem, v, q, w, wt, wtt, lam, kin, state.time + dt,
+                       state.next_history())
     new.newton_info = info
     return new
 
@@ -270,8 +264,12 @@ def run_simulation(cfg, init, model, mesh):
         except SolverError as exc:
             log.warning("step %d failed (%s); retrying with dt/2", n, exc)
             half = CouplingConfig(**{**cfg.__dict__, "dt": cfg.dt / 2})
-            state = coupled_step(state, half, model, step_index=n)
-            state = coupled_step(state, half, model, step_index=n)
+            mid = coupled_step(state, half, model, step_index=n)
+            new = coupled_step(mid, half, model, step_index=n)
+            # the diagnostics difference the ring with cfg.dt: keep it spaced
+            # by dt, without the half-step state
+            new.history = state.next_history()
+            state = new
         recorder.add(state)
         if cfg.vtk_every and n % cfg.vtk_every == 0:
             _export_state(cfg, problem, state, n)

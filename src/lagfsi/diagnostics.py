@@ -10,7 +10,6 @@ omit the third-order coefficient-rate couplings, so they are expected to
 floor at cubic order in the data rather than vanish.
 """
 
-import logging
 from math import comb, nan
 
 import numpy as np
@@ -18,10 +17,7 @@ import numpy as np
 from . import mesh as meshmod
 from .errors import FitDomainError, PreconditionError
 from .material import remainder_bracket
-from .quadrature import facet_rule
 from .spaces import FieldSpace
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = [
     "t", "V0e", "V0", "V1e", "V1", "V2e", "V2", "V3e", "V3",
@@ -88,14 +84,6 @@ def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     rb = space.integrate(q * np.einsum("cqki,cqik->cq", a_t, Dv1))
     rc = space.integrate(q_t * np.einsum("cqki,cqik->cq", a_t, Dv))
     return ra, rb, rc
-
-
-def _facet_traction_material(iface, model, Dw_f, G_f):
-    """(l_{G} D^2W(Dw + I)) nu at interface quadrature points."""
-    d = iface.dim
-    F = Dw_f + np.eye(d)
-    M = model.d2_contract(F, G_f)
-    return np.einsum("kqia,ka->kqi", M, iface.normal)
 
 
 def compute_report(problem, model, cfg, states):
@@ -182,7 +170,7 @@ def compute_report(problem, model, cfg, states):
     Dwtt_f = iface.solid_grad_qp(st.wtt)
     rates, rates_f = [Dwt, Dwtt], [iface.solid_grad_qp(st.wt), Dwtt_f]
     if w3 is not None and v2 is not None:
-        trac2 = _facet_traction_material(iface, model, Dw_f, Dwtt_f)
+        trac2 = model.linearized_traction(Dw_f, Dwtt_f, iface.normal[:, None, :])
         g["d2_visc"] = _visc_form(vs, aaT, vs.grad_qp(v2))
         g["d2_bnd"] = iface.l2_norm_sq(trac2)
         rep.D2 = g["d2_visc"] + gamma * g["d2_bnd"]
@@ -196,7 +184,7 @@ def compute_report(problem, model, cfg, states):
 
     if w4 is not None and v3 is not None:
         Dw3_f = iface.solid_grad_qp(w3)
-        trac3 = _facet_traction_material(iface, model, Dw_f, Dw3_f)
+        trac3 = model.linearized_traction(Dw_f, Dw3_f, iface.normal[:, None, :])
         g["d3_visc"] = _visc_form(vs, aaT, vs.grad_qp(v3))
         g["d3_bnd"] = iface.l2_norm_sq(trac3)
         rep.D3 = g["d3_visc"] + gamma * g["d3_bnd"]
@@ -218,11 +206,6 @@ def compute_report(problem, model, cfg, states):
         rep.X = rep.Q + cfg.epsilon1 * (g["gradsq0"] + g["gradsq1"] + g["gradsq2"])
 
     rep.iface_vel, rep.iface_stress = interface_residual_values(st, model, gamma)
-    if max(rep.iface_vel, rep.iface_stress) > cfg.coupling_tol:
-        log.warning(
-            "interface residuals (%.3e, %.3e) exceed coupling tolerance %.1e at t=%.4g",
-            rep.iface_vel, rep.iface_stress, cfg.coupling_tol, st.time,
-        )
     return rep
 
 
@@ -289,10 +272,8 @@ def interface_residual_values(state, model, gamma):
     iface = problem.interface
     wt_qp = iface.solid_qp(state.wt)
     v_qp = iface.fluid_qp(state.v)
-    Dw_f = iface.solid_grad_qp(state.w)
     d = iface.dim
-    P = model.piola_stress(Dw_f + np.eye(d))
-    trac = np.einsum("kqia,ka->kqi", P, iface.normal)
+    trac = model.traction(iface.solid_grad_qp(state.w), iface.normal[:, None, :])
     vel = np.sqrt(iface.l2_norm_sq(wt_qp - v_qp + gamma * trac))
     Dv_f = iface.fluid_grad_qp(state.v)
     q_f = iface.pressure_qp(state.q)
@@ -315,13 +296,8 @@ class TrajectoryRecorder:
     def add(self, state):
         rep = compute_report(self.problem, self.model, self.cfg, state.past())
         self.reports.append(rep)
-        n = len(self.reports) - 1
-        gamma = self.cfg.gamma
-        for j, (res_name, Vname) in enumerate(
-            [("res_j0", "V0"), ("res_j1", "V1"), ("res_j2_soft", "V2"), ("res_j3_soft", "V3")]
-        ):
-            val = energy_identity_residual(self.reports, gamma, j)
-            setattr(rep, res_name, val)
+        for j, res_name in enumerate(["res_j0", "res_j1", "res_j2_soft", "res_j3_soft"]):
+            setattr(rep, res_name, energy_identity_residual(self.reports, self.cfg.gamma, j))
         return rep
 
 
@@ -445,11 +421,6 @@ class ScalarField:
         self.grad = grad
 
 
-def constant_scalar(c):
-    return ScalarField(lambda x: np.full(x.shape[:-1], float(c)),
-                       lambda x: np.zeros_like(x))
-
-
 class _AwEvaluator:
     """Frozen-coefficient quadratic form A_w at base displacement w.
 
@@ -524,10 +495,13 @@ def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
     residual of the scalar-multiplier identity).
     """
     d = mesh.dimension
-    space = FieldSpace(mesh, meshmod.SOLID, "tmp", 2, d, quad_degree=quad_degree)
+    space = FieldSpace(mesh, meshmod.SOLID, 2, d, quad_degree=quad_degree)
     X = space.xq.reshape(-1, d)
     W = space.wdet.reshape(-1)
-    fq, fw, fnu = _interface_quadrature(mesh, quad_degree)
+    idx = mesh.facet_indices(meshmod.INTERFACE)
+    fq, fw = mesh.facet_quadrature(idx, quad_degree)
+    fnu = np.repeat(mesh.facet_normal[idx], fq.shape[1], axis=0)
+    fq, fw = fq.reshape(-1, d), fw.reshape(-1)
     Aw = _AwEvaluator(model, flavor, base)
 
     s_t, t_t = interval
@@ -614,24 +588,6 @@ def _da_term(Aw, X, W, gw, Hx, base):
     bh = base.hess(X)  # (n, i, a, b)
     DHDw = np.einsum("niab,nb->nia", bh, Hx)
     return np.sum(W * Aw.d_form(X, gw, gw, DHDw))
-
-
-def _interface_quadrature(mesh, degree):
-    d = mesh.dimension
-    qp, qw = facet_rule(d, degree)
-    xs, ws, nus = [], [], []
-    for fi in mesh.facet_indices(meshmod.INTERFACE):
-        pts = mesh.vertices[mesh.facets[fi]]
-        if d == 2:
-            x = pts[0] + qp * (pts[1] - pts[0])
-            w = qw * mesh.facet_measure[fi]
-        else:
-            x = pts[0] + qp[:, :1] * (pts[1] - pts[0]) + qp[:, 1:2] * (pts[2] - pts[0])
-            w = qw * (mesh.facet_measure[fi] / 0.5)
-        xs.append(x)
-        ws.append(w)
-        nus.append(np.broadcast_to(mesh.facet_normal[fi], x.shape).copy())
-    return np.vstack(xs), np.concatenate(ws), np.vstack(nus)
 
 
 def write_csv(path, reports):

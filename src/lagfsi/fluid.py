@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from . import kernels, mesh as meshmod
 from .errors import MeshDegenerationError
 from .kinematics import _min_eig_sym
-from .spaces import basis_grads, basis_values
+from .spaces import basis_values
 
 
 class FluidOperator:
@@ -76,46 +76,16 @@ def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace, mass=None):
     return FluidOperator(M, K, B, dt, viscosity)
 
 
-def convective_term(kin, v, vspace, include=False):
-    """Pulled-back convection functional; identically zero unless enabled.
-
-    In the fixed-reference formulation the transport is absorbed by the
-    flow map, so the default model carries no convective term; the enabled
-    branch quadratures <(v . (a^T grad)) v, phi> for exploratory runs.
-    """
-    if not include:
-        return np.zeros(vspace.ndof)
-    vq = vspace.eval_qp(v)
-    Dv = vspace.grad_qp(v)
-    conv = np.einsum("cqj,cqkj,cqik->cqi", vq, kin.a, Dv)
-    elem = np.einsum("cq,qa,cqi->cai", vspace.wdet, vspace.val, conv)
-    return vspace.scatter_vector(elem)
-
-
-def _outer_facet_tables(mesh, vspace, pspace):
-    """Quadrature and trace data on the outer no-slip boundary."""
-    from .quadrature import facet_rule
-
-    d = mesh.dimension
-    qp, qw = facet_rule(d, mesh.facet_quad_degree)
-    out = []
-    for fi in mesh.facet_indices(meshmod.OUTER):
-        (cell, _), = mesh.facet_cells[fi]
-        pts = mesh.vertices[mesh.facets[fi]]
-        if d == 2:
-            xq = pts[0] + qp * (pts[1] - pts[0])
-            wq = qw * mesh.facet_measure[fi]
-        else:
-            xq = pts[0] + qp[:, :1] * (pts[1] - pts[0]) + qp[:, 1:2] * (pts[2] - pts[0])
-            wq = qw * (mesh.facet_measure[fi] / 0.5)
-        verts = mesh.vertices[mesh.cells[cell]]
-        J = (verts[1:] - verts[0]).T
-        Jinv = np.linalg.inv(J)
-        ref = (xq - verts[0]) @ Jinv.T
-        ci = int(np.flatnonzero(vspace.cells == cell)[0])
-        pvals = basis_values(d, pspace.degree, ref)
-        out.append((fi, ci, xq, wq, mesh.facet_normal[fi], pvals))
-    return out
+def _outer_facet_tables(mesh, pspace):
+    """Quadrature and pressure-basis tables on the outer no-slip boundary:
+    local fluid cell (n,), weights (n, nq), normals (n, d) and pressure basis
+    values (n, nq, nloc) of each outer facet."""
+    idx = mesh.facet_indices(meshmod.OUTER)
+    cells = np.array([mesh.facet_cells[fi][0][0] for fi in idx], dtype=np.int64)
+    ci = np.searchsorted(pspace.cells, cells)
+    xq, wq = mesh.facet_quadrature(idx)
+    pvals, _ = pspace.basis_at(ci, xq)
+    return ci, wq, mesh.facet_normal[idx], pvals
 
 
 def solve_initial_pressure(problem, v0, w0, model):
@@ -123,7 +93,7 @@ def solve_initial_pressure(problem, v0, w0, model):
     velocity gradients, with the stress-matching Dirichlet datum on the
     interface and the weak normal-Laplacian datum on the outer boundary.
     """
-    vspace, pspace, sspace = problem.vspace, problem.pspace, problem.sspace
+    vspace, pspace = problem.vspace, problem.pspace
     iface = problem.interface
     mesh = problem.mesh
     d = mesh.dimension
@@ -142,36 +112,20 @@ def solve_initial_pressure(problem, v0, w0, model):
     # with the Laplacian taken cellwise (piecewise constant for P2)
     lap = vspace.hess_cells(v0)  # (nc, d, dd, dd)
     lap = np.einsum("ckii->ck", lap)
-    for fi, ci, xq, wq, nu, pvals in problem.outer_tables:
+    for ci, wq, nu, pvals in zip(*problem.outer_tables):
         g = lap[ci] @ nu
         contrib = np.einsum("q,qp->p", wq * g, pvals)
         np.add.at(b, pspace.cell_dofs[ci], contrib)
 
-    # interface Dirichlet datum: q0 = nu^T Dv0 nu - <traction(w0), nu>
-    nv = len(mesh.vertices)
-    pnodes = {}
-    Dv_f = iface.fluid_grad_qp(v0)
-    Dw_s = iface.solid_grad_qp(w0)
-    for k in range(iface.nfac):
-        nu = iface.normal[k]
-        trac = model.traction(Dw_s[k], nu)
-        gvals = np.einsum("qij,j,i->q", Dv_f[k], nu, nu) - trac @ nu
-        # attribute facet-endpoint values to the P1 vertex nodes
-        fverts = mesh.facets[iface.facets[k]]
-        for v in fverts:
-            dof = pspace.g2l[v]
-            if dof < 0:
-                continue
-            # value at the vertex: evaluate the same expressions at the vertex
-            x = mesh.vertices[v]
-            # locate vertex among facet quadrature ends by projection weight
-            pnodes.setdefault(dof, []).append(
-                _vertex_datum(iface, k, x, nu, v0, w0, model)
-            )
-    dirich = {dof: float(np.mean(vals)) for dof, vals in pnodes.items()}
-
-    fixed = np.array(sorted(dirich), dtype=np.int64)
-    gvals = np.array([dirich[i] for i in fixed])
+    # interface Dirichlet datum at every facet vertex, averaged over the
+    # facets that share the vertex
+    k = np.repeat(np.arange(iface.nfac), d)
+    verts = mesh.facets[iface.facets].ravel()
+    vals = _vertex_datum(iface, k, mesh.vertices[verts], iface.normal[k], v0, w0, model)
+    dofs = pspace.g2l[verts]
+    count = np.bincount(dofs, minlength=pspace.nscalar)
+    fixed = np.flatnonzero(count)
+    gvals = np.bincount(dofs, vals, minlength=pspace.nscalar)[fixed] / count[fixed]
     free = np.setdiff1d(np.arange(pspace.nscalar), fixed)
     A = A.tocsc()
     rhs = b[free] - A[free][:, fixed] @ gvals
@@ -183,25 +137,19 @@ def solve_initial_pressure(problem, v0, w0, model):
 
 
 def _vertex_datum(iface, k, x, nu, v0, w0, model):
-    """Interface Dirichlet value at a facet endpoint."""
-    vspace, sspace = iface.fluid_space, iface.solid_space
-    mesh = vspace.mesh
+    """Interface Dirichlet value q0 = nu^T Dv0 nu - <traction(w0), nu> at a
+    point x of interface facet k with normal nu; k, x and nu may also be
+    arrays over points, (n,), (n, d) and (n, d)."""
 
-    def grad_at(space, cell_local, dofs_tab, u):
-        cell = space.cells[cell_local]
-        verts = mesh.vertices[mesh.cells[cell]]
-        J = (verts[1:] - verts[0]).T
-        Jinv = np.linalg.inv(J)
-        ref = Jinv @ (x - verts[0])
-        g = basis_grads(mesh.dimension, space.degree, ref[None, :])[0]
-        gphys = g @ Jinv
-        u_loc = space._as_nodal(u)[dofs_tab]
-        return np.einsum("ai,ac->ci", gphys, u_loc)
+    def grad_at(space, ci, dofs, u):
+        _, g = space.basis_at(ci, x[..., None, :])
+        return np.einsum("...ai,...ac->...ci", g[..., 0, :, :], space._as_nodal(u)[dofs])
 
-    Dv = grad_at(vspace, iface.fluid_cell[k], iface.fluid_cell_dofs[k], v0)
-    Dw = grad_at(sspace, iface.solid_cell[k], iface.solid_cell_dofs[k], w0)
+    Dv = grad_at(iface.fluid_space, iface.fluid_cell[k], iface.fluid_cell_dofs[k], v0)
+    Dw = grad_at(iface.solid_space, iface.solid_cell[k], iface.solid_cell_dofs[k], w0)
     trac = model.traction(Dw, nu)
-    return float(nu @ Dv @ nu - trac @ nu)
+    nu_row, nu_col = nu[..., None, :], nu[..., :, None]
+    return (nu_row @ Dv @ nu_col - trac[..., None, :] @ nu_col)[..., 0, 0]
 
 
 def pressure_schur_condition(problem, dt=1.0, viscosity=1.0):

@@ -32,8 +32,8 @@ class ReferenceMesh:
     region : (nc,) int array
         FLUID or SOLID per cell.
     facet_quad_degree : int
-        Polynomial exactness of the facet quadrature used by
-        `surface_integral`.
+        Polynomial exactness of `facet_quadrature`, which every interface
+        and boundary table uses.
     """
 
     def __init__(self, vertices, cells, region, facet_quad_degree=5):
@@ -174,17 +174,32 @@ class ReferenceMesh:
     def facet_indices(self, tag):
         return np.flatnonzero(self.facet_tags == tag)
 
-    def facet_quadrature(self, fi):
-        """Physical quadrature points and weights on one facet."""
-        qp, qw = facet_rule(self.dimension, self.facet_quad_degree)
-        pts = self.vertices[self.facets[fi]]
-        if self.dimension == 2:
-            x = pts[0] + qp * (pts[1] - pts[0])
-            w = qw * self.facet_measure[fi]
-        else:
-            x = pts[0] + qp[:, :1] * (pts[1] - pts[0]) + qp[:, 1:2] * (pts[2] - pts[0])
-            w = qw * (self.facet_measure[fi] / 0.5)
-        return x, w
+    def facet_quadrature(self, facets, degree=None):
+        """Physical quadrature points and weights on one facet or an index
+        array of facets: points (..., nq, d), weights (..., nq).  `degree`
+        defaults to `facet_quad_degree`."""
+        d = self.dimension
+        qp, qw = facet_rule(d, self.facet_quad_degree if degree is None else degree)
+        pts = self.vertices[self.facets[facets]]            # (..., d, d)
+        x = pts[..., None, 0, :]
+        for j in range(1, d):
+            x = x + qp[:, j - 1:j] * (pts[..., None, j, :] - pts[..., None, 0, :])
+        # facet_rule's weights sum to the reference facet measure: 1 or 1/2
+        scale = self.facet_measure[facets] / (1.0 if d == 2 else 0.5)
+        return x, qw * np.asarray(scale)[..., None]
+
+    def facet_nodes(self, facets):
+        """Global P2 node ids of the given facets, (n, nlocf): the facet's
+        vertices, then the midpoints of its edges (0,1) [, (0,2), (1,2)] as
+        len(vertices) + edge index."""
+        fv = self.facets[facets]
+        pairs = [(0, 1)] if self.dimension == 2 else [(0, 1), (0, 2), (1, 2)]
+        # edges are unique and lexicographically sorted, so a*nv + b is increasing
+        nv = len(self.vertices)
+        keys = self.edges[:, 0] * nv + self.edges[:, 1]
+        ends = np.stack([np.sort(fv[:, [a, b]], axis=1) for a, b in pairs], axis=1)
+        mids = nv + np.searchsorted(keys, ends[..., 0] * nv + ends[..., 1])
+        return np.hstack([fv, mids])
 
     def max_facet_length(self, tag=INTERFACE):
         idx = self.facet_indices(tag)
@@ -218,11 +233,9 @@ def star_shape_margin(mesh, x0):
     x0 = np.asarray(x0, dtype=float)
     if not mesh.contains_point_solid(x0):
         raise PreconditionError(f"x0={x0.tolist()} lies outside the solid region")
-    margin = np.inf
-    for fi in mesh.facet_indices(INTERFACE):
-        x, _ = mesh.facet_quadrature(fi)
-        vals = (x - x0) @ mesh.facet_normal[fi]
-        margin = min(margin, vals.min())
+    idx = mesh.facet_indices(INTERFACE)
+    x, _ = mesh.facet_quadrature(idx)
+    margin = ((x - x0) @ mesh.facet_normal[idx][:, :, None]).min(initial=np.inf)
     return float(margin)
 
 
@@ -235,9 +248,8 @@ def surface_integral(mesh, facet_set, integrand):
     if facet_set not in (INTERFACE, OUTER):
         raise ConfigError(f"unknown facet set {facet_set!r}")
     total = 0.0
-    for fi in mesh.facet_indices(facet_set):
-        x, w = mesh.facet_quadrature(fi)
-        nu = mesh.facet_normal[fi]
+    idx = mesh.facet_indices(facet_set)
+    for x, w, nu in zip(*mesh.facet_quadrature(idx), mesh.facet_normal[idx]):
         try:
             vals = integrand(x, nu)
         except TypeError:

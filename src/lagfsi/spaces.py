@@ -48,9 +48,7 @@ def basis_grads(dim, degree, pts):
     npts = lam.shape[0]
     if degree == 1:
         return np.broadcast_to(g, (npts, dim + 1, dim)).copy()
-    out = np.zeros((npts, 2 * (dim + 1) if dim == 2 else 10, dim))
-    if dim == 3:
-        out = np.zeros((npts, 10, dim))
+    out = np.zeros((npts, (dim + 1) + len(_local_edges(dim)), dim))
     for i in range(dim + 1):
         out[:, i] = (4 * lam[:, i] - 1)[:, None] * g[i]
     for k, (a, b) in enumerate(_local_edges(dim)):
@@ -80,8 +78,6 @@ class FieldSpace:
     mesh : ReferenceMesh
     region : int
         mesh.FLUID or mesh.SOLID.
-    kind : str
-        Label only ('fluid-velocity', 'fluid-pressure', 'solid-displacement').
     degree : int, 1 or 2
     ncomp : int
         1 for scalar fields, mesh.dimension for vector fields.
@@ -89,10 +85,9 @@ class FieldSpace:
         Cell quadrature exactness (default 2*degree + 1).
     """
 
-    def __init__(self, mesh, region, kind, degree, ncomp, quad_degree=None):
+    def __init__(self, mesh, region, degree, ncomp, quad_degree=None):
         self.mesh = mesh
         self.region = region
-        self.kind = kind
         self.degree = degree
         self.ncomp = ncomp
         d = mesh.dimension
@@ -156,6 +151,20 @@ class FieldSpace:
             self.cell_dofs[:, :, None] * self.ncomp + comp[None, None, :]
         ).reshape(len(self.cells), self.nloc * self.ncomp)
 
+    def basis_at(self, ci, x):
+        """Basis values (..., m, nloc) and physical gradients (..., m, nloc, d)
+        at physical points x (..., m, d) of the cells with local indices ci
+        (...), pulled back through the cells' stored Jinv."""
+        Jinv = self.Jinv[ci]
+        v0 = self.mesh.vertices[self.mesh.cells[self.cells[ci], 0]]
+        ref = (x - v0[..., None, :]) @ np.swapaxes(Jinv, -1, -2)
+        flat = ref.reshape(-1, self.dim)
+        val = basis_values(self.dim, self.degree, flat)
+        gref = basis_grads(self.dim, self.degree, flat)
+        val = val.reshape(ref.shape[:-1] + val.shape[-1:])
+        gref = gref.reshape(ref.shape[:-1] + gref.shape[-2:])
+        return val, np.einsum("...ji,...maj->...mai", Jinv, gref)
+
     # -- field operations ------------------------------------------------------
 
     def zeros(self):
@@ -209,7 +218,7 @@ class FieldSpace:
 
     # -- assembly helpers ------------------------------------------------------
 
-    def scatter_matrix(self, elem, ncomp_row=None):
+    def scatter_matrix(self, elem):
         """Assemble element matrices (ncr, nloc*ncomp, nloc*ncomp) into CSR."""
         vd = self.cell_vdofs
         rows = np.repeat(vd, vd.shape[1], axis=1).ravel()
@@ -237,19 +246,11 @@ class FieldSpace:
     def boundary_scalar_dofs(self, facet_tag):
         """Scalar dofs of all nodes lying on facets with the given tag."""
         mesh = self.mesh
-        nv = len(mesh.vertices)
-        nodes = set()
-        edge_id = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-        for fi in mesh.facet_indices(facet_tag):
-            fverts = mesh.facets[fi]
-            nodes.update(int(v) for v in fverts)
-            if self.degree == 2:
-                for a in range(len(fverts)):
-                    for b in range(a + 1, len(fverts)):
-                        key = (min(fverts[a], fverts[b]), max(fverts[a], fverts[b]))
-                        nodes.add(nv + edge_id[key])
-        dofs = [self.g2l[n] for n in sorted(nodes) if self.g2l[n] >= 0]
-        return np.array(dofs, dtype=np.int64)
+        nodes = mesh.facet_nodes(mesh.facet_indices(facet_tag))
+        if self.degree == 1:
+            nodes = nodes[:, :self.dim]  # the facet's vertices
+        dofs = self.g2l[np.unique(nodes)]
+        return dofs[dofs >= 0]
 
     def free_mask(self, dirichlet_tag):
         """Boolean mask of unconstrained vector dofs."""
@@ -268,49 +269,23 @@ class InterfaceData:
     space is the interface restriction of either volume space.
     """
 
-    def __init__(self, mesh, fluid_space, solid_space, pressure_space=None):
+    def __init__(self, mesh, fluid_space, solid_space, pressure_space):
         self.mesh = mesh
-        d = mesh.dimension
-        self.dim = d
+        self.dim = mesh.dimension
         self.fluid_space = fluid_space
         self.solid_space = solid_space
         self.pressure_space = pressure_space
         self.ncomp = fluid_space.ncomp
         self.facets = mesh.facet_indices(meshmod.INTERFACE)
-        nfac = len(self.facets)
-        self.nfac = nfac
-        nv = len(mesh.vertices)
+        self.nfac = len(self.facets)
+        assert fluid_space.degree == solid_space.degree == 2
 
-        degree = fluid_space.degree
-        assert degree == solid_space.degree == 2
-        edge_id = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-
-        # facet-local node lists (global node ids): vertices then edge midpoints
-        facet_nodes = []
-        for fi in self.facets:
-            fverts = [int(v) for v in mesh.facets[fi]]
-            nodes = list(fverts)
-            if d == 2:
-                pairs = [(0, 1)]
-            else:
-                pairs = [(0, 1), (0, 2), (1, 2)]
-            for a, b in pairs:
-                key = (min(fverts[a], fverts[b]), max(fverts[a], fverts[b]))
-                nodes.append(nv + edge_id[key])
-            facet_nodes.append(nodes)
-        facet_nodes = np.array(facet_nodes, dtype=np.int64)
-        self.facet_nodes = facet_nodes
+        facet_nodes = mesh.facet_nodes(self.facets)
         self.nlocf = facet_nodes.shape[1]
-
         self.trace_nodes = np.unique(facet_nodes)
         self.ntr = len(self.trace_nodes)
         self.nlam = self.ntr * self.ncomp
-        g2t = {}
-        for i, n in enumerate(self.trace_nodes):
-            g2t[int(n)] = i
-        self.facet_trace = np.array(
-            [[g2t[int(n)] for n in row] for row in facet_nodes], dtype=np.int64
-        )
+        self.facet_trace = np.searchsorted(self.trace_nodes, facet_nodes)
         self.trace_to_fluid = fluid_space.g2l[self.trace_nodes]
         self.trace_to_solid = solid_space.g2l[self.trace_nodes]
         assert np.all(self.trace_to_fluid >= 0) and np.all(self.trace_to_solid >= 0)
@@ -321,25 +296,13 @@ class InterfaceData:
 
     def _build_quadrature(self):
         mesh = self.mesh
-        d = self.dim
-        qp, qw = facet_rule(d, mesh.facet_quad_degree)
-        self.nqf = len(qw)
-        xq = np.zeros((self.nfac, self.nqf, d))
-        wq = np.zeros((self.nfac, self.nqf))
-        normals = np.zeros((self.nfac, d))
-        for k, fi in enumerate(self.facets):
-            pts = mesh.vertices[mesh.facets[fi]]
-            if d == 2:
-                xq[k] = pts[0] + qp * (pts[1] - pts[0])
-                wq[k] = qw * mesh.facet_measure[fi]
-            else:
-                xq[k] = pts[0] + qp[:, :1] * (pts[1] - pts[0]) + qp[:, 1:2] * (pts[2] - pts[0])
-                wq[k] = qw * (mesh.facet_measure[fi] / 0.5)
-            normals[k] = mesh.facet_normal[fi]
-        self.xq, self.wq, self.normal = xq, wq, normals
+        self.xq, self.wq = mesh.facet_quadrature(self.facets)
+        self.nqf = self.wq.shape[1]
+        self.normal = mesh.facet_normal[self.facets]
 
         # facet-intrinsic P2 basis at the quadrature points
-        if d == 2:
+        qp, _ = facet_rule(self.dim, mesh.facet_quad_degree)
+        if self.dim == 2:
             s = qp[:, 0]
             self.fval = np.column_stack(
                 [(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)]
@@ -347,50 +310,19 @@ class InterfaceData:
         else:
             self.fval = basis_values(2, 2, qp)
 
-    def _cell_local_index(self, space, cell):
-        return int(np.flatnonzero(space.cells == cell)[0])
-
     def _build_side_tables(self):
-        mesh = self.mesh
-        d = self.dim
-        self.fluid_cell = np.zeros(self.nfac, dtype=np.int64)
-        self.solid_cell = np.zeros(self.nfac, dtype=np.int64)
-        nloc_f = self.fluid_space.nloc
-        nloc_s = self.solid_space.nloc
-        self.fluid_cell_dofs = np.zeros((self.nfac, nloc_f), dtype=np.int64)
-        self.solid_cell_dofs = np.zeros((self.nfac, nloc_s), dtype=np.int64)
-        self.fval_cell = np.zeros((self.nfac, self.nqf, nloc_f))
-        self.fgrad = np.zeros((self.nfac, self.nqf, nloc_f, d))
-        self.sval_cell = np.zeros((self.nfac, self.nqf, nloc_s))
-        self.sgrad = np.zeros((self.nfac, self.nqf, nloc_s, d))
-        if self.pressure_space is not None:
-            nloc_p = self.pressure_space.nloc
-            self.pval_cell = np.zeros((self.nfac, self.nqf, nloc_p))
-            self.pressure_cell_dofs = np.zeros((self.nfac, nloc_p), dtype=np.int64)
-        for k, fi in enumerate(self.facets):
-            fc, sc = mesh.interface_pairing[int(fi)]
-            for cell, space, vtab, gtab, dtab, cellarr in (
-                (fc, self.fluid_space, self.fval_cell, self.fgrad, self.fluid_cell_dofs, self.fluid_cell),
-                (sc, self.solid_space, self.sval_cell, self.sgrad, self.solid_cell_dofs, self.solid_cell),
-            ):
-                ci = self._cell_local_index(space, cell)
-                cellarr[k] = ci
-                dtab[k] = space.cell_dofs[ci]
-                verts = mesh.vertices[mesh.cells[cell]]
-                J = (verts[1:] - verts[0]).T
-                Jinv = np.linalg.inv(J)
-                ref = (self.xq[k] - verts[0]) @ Jinv.T
-                vtab[k] = basis_values(d, space.degree, ref)
-                gref = basis_grads(d, space.degree, ref)
-                gtab[k] = np.einsum("ji,qaj->qai", Jinv, gref)
-            if self.pressure_space is not None:
-                ps = self.pressure_space
-                ci = self._cell_local_index(ps, fc)
-                self.pressure_cell_dofs[k] = ps.cell_dofs[ci]
-                verts = mesh.vertices[mesh.cells[fc]]
-                J = (verts[1:] - verts[0]).T
-                ref = (self.xq[k] - verts[0]) @ np.linalg.inv(J).T
-                self.pval_cell[k] = basis_values(d, ps.degree, ref)
+        pairs = [self.mesh.interface_pairing[int(fi)] for fi in self.facets]
+        fc, sc = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        fs, ss, ps = self.fluid_space, self.solid_space, self.pressure_space
+        self.fluid_cell = np.searchsorted(fs.cells, fc)
+        self.solid_cell = np.searchsorted(ss.cells, sc)
+        self.fluid_cell_dofs = fs.cell_dofs[self.fluid_cell]
+        self.solid_cell_dofs = ss.cell_dofs[self.solid_cell]
+        self.fval_cell, self.fgrad = fs.basis_at(self.fluid_cell, self.xq)
+        self.sval_cell, self.sgrad = ss.basis_at(self.solid_cell, self.xq)
+        # the pressure space lives on the fluid cells, in the same local order
+        self.pressure_cell_dofs = ps.cell_dofs[self.fluid_cell]
+        self.pval_cell, _ = ps.basis_at(self.fluid_cell, self.xq)
 
     def _build_mass(self):
         elem = np.einsum("kq,qa,qb->kab", self.wq, self.fval, self.fval)
@@ -402,26 +334,17 @@ class InterfaceData:
         self._M_vec_solve = sp.linalg.factorized(self.M_vec.tocsc())
 
         # coupling blocks: rows in volume vector dofs, cols in trace vector dofs
-        def expand(vol_scalar):
-            rows_v = []
-            cols_v = []
-            vals_v = []
-            Mcoo = M.tocoo()
-            for r, c, v in zip(Mcoo.row, Mcoo.col, Mcoo.data):
-                for comp in range(self.ncomp):
-                    rows_v.append(vol_scalar[r] * self.ncomp + comp)
-                    cols_v.append(c * self.ncomp + comp)
-                    vals_v.append(v)
-            return rows_v, cols_v, vals_v
+        Mc = M.tocoo()
+        comp = np.arange(self.ncomp)
 
-        rf, cf, vf = expand(self.trace_to_fluid)
-        self.C_fluid = sp.coo_matrix(
-            (vf, (rf, cf)), shape=(self.fluid_space.ndof, self.nlam)
-        ).tocsr()
-        rs, cs, vs = expand(self.trace_to_solid)
-        self.C_solid = sp.coo_matrix(
-            (vs, (rs, cs)), shape=(self.solid_space.ndof, self.nlam)
-        ).tocsr()
+        def expand(vol_scalar, ndof):
+            rows = (vol_scalar[Mc.row][:, None] * self.ncomp + comp).ravel()
+            cols = (Mc.col[:, None] * self.ncomp + comp).ravel()
+            vals = np.repeat(Mc.data, self.ncomp)
+            return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, self.nlam)).tocsr()
+
+        self.C_fluid = expand(self.trace_to_fluid, self.fluid_space.ndof)
+        self.C_solid = expand(self.trace_to_solid, self.solid_space.ndof)
 
     # -- evaluation ------------------------------------------------------------
 

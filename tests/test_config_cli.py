@@ -32,8 +32,10 @@ def test_overrides():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="not_a_key"):
-        parse_config("not_a_key = 1")
+    # include_convection and coupling.tol were removed: both are unknown now
+    for key in ("not_a_key", "include_convection", "coupling.tol"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = 1")
 
 
 def test_type_mismatch():

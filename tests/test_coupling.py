@@ -1,9 +1,12 @@
 """Monolithic coupled stepping: equilibrium, transmission conditions,
 dense-oracle equivalence and the dissipation ordering in gamma."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from lagfsi import coupling
 from lagfsi.config import RunConfig
 from lagfsi.coupling import (
     CoupledProblem, CouplingConfig, coupled_step, initial_state, run_simulation,
@@ -129,6 +132,27 @@ def test_interface_residuals_small_after_step():
     assert rep.iface_stress <= 1e-3
 
 
+def test_default_run_logs_no_warning(caplog):
+    # the interface gaps at t = 0 and t = dt are projection gaps, not failures
+    with caplog.at_level(logging.WARNING, logger="lagfsi"):
+        _small_run(dt=1e-3, t_end=3e-3)
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_interface_projection_gap_shrinks_with_h():
+    # at t = 0, v = w_t = 0 and iface_vel is gamma times the pointwise elastic
+    # traction, which the projected multiplier only matches as h -> 0
+    gaps = []
+    for res in (4, 8):
+        cfg = RunConfig(resolution=res)
+        model = cfg.make_material()
+        problem = CoupledProblem(cfg.make_mesh(), model)
+        state = initial_state(problem, cfg.coupling_config(), model,
+                              *cfg.make_initial_data().build(problem))
+        gaps.append(interface_residual_values(state, model, cfg.gamma)[0])
+    assert 0 < gaps[1] < gaps[0]
+
+
 def test_library_run_writes_no_files(tmp_path, monkeypatch):
     # only `lagfsi run` defaults the CSV path; a RunConfig built in code does not
     monkeypatch.chdir(tmp_path)
@@ -214,6 +238,28 @@ def test_history_ring_depth():
     assert len(seen) <= 6
     snap = state.snapshot()
     assert not snap.history and snap.w is state.w and snap.q_qp() is state.q_qp()
+
+
+def test_retry_keeps_history_spaced_by_dt(monkeypatch):
+    # one injected solver failure at step 10: after the two dt/2 steps the
+    # ring must still hold the states dt apart that the diagnostics difference
+    uniform, _ = _small_run(t_end=0.15)
+    step = coupling.coupled_step
+    failed = []
+
+    def fail_once_at_step_10(state, cfg, model, step_index=0):
+        if step_index == 10 and not failed:
+            failed.append(cfg.dt)
+            raise SolverError("injected failure")
+        return step(state, cfg, model, step_index)
+
+    monkeypatch.setattr(coupling, "coupled_step", fail_once_at_step_10)
+    retried, _ = _small_run(t_end=0.15)
+    assert failed == [1e-2]
+    assert retried[10].t == pytest.approx(0.1)
+    assert retried[10].D1 == pytest.approx(uniform[10].D1, rel=0.05)
+    assert retried[10].V2 == pytest.approx(uniform[10].V2, rel=0.05)
+    assert retried[-1].res_j1 == pytest.approx(uniform[-1].res_j1, rel=0.01)
 
 
 def test_three_dimensional_step():

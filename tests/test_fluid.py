@@ -1,4 +1,4 @@
-"""Fluid operator assembly, initial pressure and convection switch."""
+"""Fluid operator assembly and initial pressure."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from lagfsi.coupling import CoupledProblem
 from lagfsi.errors import MeshDegenerationError
 from lagfsi.fluid import (
-    assemble_fluid_operator, convective_term, pressure_schur_condition,
+    assemble_fluid_operator, pressure_schur_condition,
     solve_initial_pressure, viscous_matrix,
 )
 from lagfsi.kinematics import KinematicState, advance_flow_map
@@ -159,21 +159,6 @@ def test_initial_pressure_rotation_rhs(annulus):
     Dv = problem.vspace.grad_qp(v0)
     f = -np.einsum("cqik,cqki->cq", Dv, Dv)
     assert np.abs(f - 2 * omega**2).max() < 1e-12
-
-
-def test_convective_term_switch(annulus):
-    problem, _ = annulus
-    vs = problem.vspace
-    kin = KinematicState.initial(vs, problem.interface)
-    v = vs.interpolate(lambda x: np.array([x[0], -x[1]]))
-    assert np.abs(convective_term(kin, v, vs, include=False)).max() == 0.0
-    assert np.abs(convective_term(kin, vs.zeros(), vs, include=True)).max() == 0.0
-    # symbolic oracle at a = I: (v . grad) v = (x, y) for this field
-    out = convective_term(kin, v, vs, include=True)
-    conv = np.stack([vs.xq[..., 0], vs.xq[..., 1]], axis=-1)
-    elem = np.einsum("cq,qa,cqi->cai", vs.wdet, vs.val, conv)
-    expect = vs.scatter_vector(elem)
-    assert np.abs(out - expect).max() < 1e-12
 
 
 def test_discrete_energy_inequality(annulus):

@@ -16,9 +16,9 @@ from lagfsi.spaces import FieldSpace, InterfaceData
 @pytest.fixture(scope="module")
 def setup():
     mesh = build_annular_mesh(2, 0.4, 1.0, 6)
-    vs = FieldSpace(mesh, FLUID, "fluid-velocity", 2, 2)
-    ss = FieldSpace(mesh, SOLID, "solid-displacement", 2, 2)
-    iface = InterfaceData(mesh, vs, ss)
+    vs = FieldSpace(mesh, FLUID, 2, 2)
+    ss = FieldSpace(mesh, SOLID, 2, 2)
+    iface = InterfaceData(mesh, vs, ss, FieldSpace(mesh, FLUID, 1, 1))
     return mesh, vs, iface
 
 

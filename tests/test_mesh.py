@@ -133,7 +133,7 @@ def test_divergence_theorem_closure(mesh2d):
         return out
 
     surf = surface_integral(mesh2d, INTERFACE, lambda x, nu: F(x) @ nu)
-    space = FieldSpace(mesh2d, SOLID, "tmp", 2, 1)
+    space = FieldSpace(mesh2d, SOLID, 2, 1)
     vol = space.integrate(divF(space.xq.reshape(-1, 2)).reshape(space.xq.shape[:2]))
     assert surf == pytest.approx(vol, rel=1e-12)
 
