@@ -72,15 +72,19 @@ class EnergyReport:
         return [getattr(self, c) if c != "t" else self.t for c in CSV_COLUMNS]
 
 
+def _aaT_pairing(aaT, A, B):
+    """Pointwise sum_ijk aaT[j,k] A[i,k] B[i,j], i.e. <A aaT^T, B>."""
+    return ((A @ np.swapaxes(aaT, -1, -2)) * B).sum(axis=(-2, -1))
+
+
 def _visc_form(space, aaT, Dv):
-    vals = np.einsum("cqjk,cqik,cqij->cq", aaT, Dv, Dv)
-    return space.integrate(vals)
+    return space.integrate(_aaT_pairing(aaT, Dv, Dv))
 
 
 def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     """The three volume pairings of the coefficient-rate perturbation:
     <d_t(a a^T) Dv, Dv_t>, <a_t q, Dv_t> and <a_t q_t, Dv>."""
-    ra = space.integrate(np.einsum("cqjk,cqik,cqij->cq", aaT_t, Dv, Dv1))
+    ra = space.integrate(_aaT_pairing(aaT_t, Dv, Dv1))
     rb = space.integrate(q * np.einsum("cqki,cqik->cq", a_t, Dv1))
     rc = space.integrate(q_t * np.einsum("cqki,cqik->cq", a_t, Dv))
     return ra, rb, rc
@@ -211,9 +215,10 @@ def compute_report(problem, model, cfg, states):
 
 def _div_functional(space, iface, delta_vol, delta_nu_facet):
     """Weak functional of div(delta): -<delta, D phi> + <delta nu, phi>_Gc."""
-    elem = -np.einsum("cq,cqib,cqab->cai", space.wdet, delta_vol, space.gradq)
+    wG = space.wdet[..., None, None] * space.gradq
+    elem = -(wG @ np.swapaxes(delta_vol, -1, -2)).sum(axis=1)
     out = space.scatter_vector(elem.reshape(len(space.cells), -1))
-    surf = np.einsum("kq,kqa,kqc->kac", iface.wq, iface.sval_cell, delta_nu_facet)
+    surf = np.swapaxes(iface.wq[..., None] * iface.sval_cell, 1, 2) @ delta_nu_facet
     vdofs = iface.solid_cell_dofs[:, :, None] * space.ncomp + np.arange(space.ncomp)
     np.add.at(out, vdofs.ravel(), np.ascontiguousarray(surf).ravel())
     return out
@@ -244,7 +249,7 @@ def remainder(states, model, j, dt, grads=None):
     Dw, rates, Dw_f, rates_f = grads
     delta = remainder_bracket(model, Dw, rates, j)
     delta_f = remainder_bracket(model, Dw_f, rates_f, j)
-    r_nu = np.einsum("kqia,ka->kqi", delta_f, iface.normal)
+    r_nu = (delta_f @ iface.normal[:, None, :, None])[..., 0]
     return _div_functional(ss, iface, delta, r_nu), r_nu
 
 
@@ -272,14 +277,15 @@ def interface_residual_values(state, model, gamma):
     iface = problem.interface
     wt_qp = iface.solid_qp(state.wt)
     v_qp = iface.fluid_qp(state.v)
-    d = iface.dim
     trac = model.traction(iface.solid_grad_qp(state.w), iface.normal[:, None, :])
     vel = np.sqrt(iface.l2_norm_sq(wt_qp - v_qp + gamma * trac))
     Dv_f = iface.fluid_grad_qp(state.v)
     q_f = iface.pressure_qp(state.q)
-    nu = iface.normal[:, None, :]
-    T_f = np.einsum("kqjl,kqil,kqj->kqi", state.kin.aaT_facet, Dv_f, np.broadcast_to(nu, Dv_f.shape[:2] + (d,)))
-    T_f = T_f - q_f[:, :, None] * np.einsum("kqli,kql->kqi", state.kin.a_facet, np.broadcast_to(nu, Dv_f.shape[:2] + (d,)))
+    # fluid traction Dv (a a^T)^T nu - q a^T nu at the facet points
+    nu = iface.normal[:, None, :, None]
+    kin = state.kin
+    T_f = (Dv_f @ np.swapaxes(kin.aaT_facet, -1, -2) @ nu)[..., 0]
+    T_f = T_f - q_f[:, :, None] * (np.swapaxes(kin.a_facet, -1, -2) @ nu)[..., 0]
     stress = iface.dual_norm(iface.functional(trac - T_f))
     return float(vel), float(stress)
 

@@ -38,12 +38,7 @@ def viscous_matrix(space, aaT):
     elems = kernels.visc_elements(
         np.ascontiguousarray(aaT), np.ascontiguousarray(space.gradq), space.wdet
     )
-    d = space.ncomp
-    nloc = space.nloc
-    elem = np.einsum("cab,ij->caibj", elems, np.eye(d)).reshape(
-        len(space.cells), nloc * d, nloc * d
-    )
-    return space.scatter_matrix(elem)
+    return space.scatter_matrix(space.component_blocks(elems))
 
 
 def divergence_matrix(vspace, pspace, a):

@@ -48,57 +48,81 @@ def _strain(F, kind):
     d = F.shape[-1]
     I = np.eye(d)
     if kind == 1:
-        return 0.5 * (np.einsum("...ai,...aj->...ij", F, F) - I)
+        return 0.5 * (np.swapaxes(F, -1, -2) @ F - I)
     Fm = F - I
     return 0.5 * (Fm + np.swapaxes(Fm, -1, -2))
+
+
+def _stress(F, lam, mu, kind):
+    """lam tr(E) I + 2 mu E of the model's strain E."""
+    E = _strain(F, kind)
+    tr = np.trace(E, axis1=-2, axis2=-1)
+    return lam * tr[..., None, None] * np.eye(F.shape[-1]) + 2 * mu * E
 
 
 def pk1(F, lam, mu, kind):
     """First derivative of the stored energy with respect to F."""
     F = np.asarray(F)
-    d = F.shape[-1]
-    I = np.eye(d)
-    E = _strain(F, kind)
-    tr = np.trace(E, axis1=-2, axis2=-1)
-    S = lam * tr[..., None, None] * I + 2 * mu * E
+    S = _stress(F, lam, mu, kind)
     if kind == 1:
-        return np.einsum("...ia,...ab->...ib", F, S)
+        return F @ S
     return S
+
+
+def _qsum(A, B):
+    """out[c,x,y] = sum_q sum_k A[c,q,x,k] B[c,q,y,k], as one
+    (nx, nq*k) @ (nq*k, ny) product per cell."""
+    nc, nq, nx, k = A.shape
+    At = np.swapaxes(A, 1, 2).reshape(nc, nx, nq * k)
+    Bt = np.swapaxes(B, 2, 3).reshape(nc, nq * k, B.shape[2])
+    return At @ Bt
+
+
+def _outer_qsum(A, B):
+    """out[c,x,y] = sum_q A[c,q,x] B[c,q,y], x and y running over the
+    flattened trailing axes: one (nx, nq) @ (nq, ny) product per cell."""
+    nc, nq = A.shape[:2]
+    return np.swapaxes(A.reshape(nc, nq, -1), 1, 2) @ B.reshape(nc, nq, -1)
 
 
 def elem_residual(P, G, wdet):
     """R[c,a,i] = sum_q wdet * P[i,b] * G[a,b]."""
-    return np.einsum("cq,cqib,cqab->cai", wdet, P, G)
+    return ((wdet[..., None, None] * G) @ np.swapaxes(P, -1, -2)).sum(axis=1)
 
 
 def elem_tangent(F, G, wdet, lam, mu, kind):
-    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(F) G[a,alpha] G[b,beta]."""
+    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(F) G[a,alpha] G[b,beta].
+
+    With FG = G F^T (G itself for kind 0) the tangent is
+    lam FG[a,i] FG[b,j] + mu FG[a,j] FG[b,i] + diag_ij Q[a,b], plus
+    mu (F F^T)[i,j] (G G^T)[a,b] for kind 1; Q is mu G G^T for kind 0 and
+    the geometric term G S G^T for kind 1."""
     nc, nq, na, d = G.shape
-    gg = np.einsum("cqna,cqma->cqnm", G, G)
+    w = wdet[..., None, None]
     if kind == 0:
-        K = lam * np.einsum("cq,cqni,cqmj->cnimj", wdet, G, G)
-        K += mu * np.einsum("cq,cqnm,ij->cnimj", wdet, gg, np.eye(d))
-        K += mu * np.einsum("cq,cqnj,cqmi->cnimj", wdet, G, G)
-        return K
-    I = np.eye(d)
-    E = 0.5 * (np.einsum("cqai,cqaj->cqij", F, F) - I)
-    tr = np.trace(E, axis1=-2, axis2=-1)
-    S = lam * tr[..., None, None] * I + 2 * mu * E
-    FG = np.einsum("cqia,cqna->cqni", F, G)
-    FFt = np.einsum("cqia,cqja->cqij", F, F)
-    K = lam * np.einsum("cq,cqni,cqmj->cnimj", wdet, FG, FG)
-    K += mu * np.einsum("cq,cqij,cqnm->cnimj", wdet, FFt, gg)
-    K += mu * np.einsum("cq,cqmi,cqnj->cnimj", wdet, FG, FG)
-    gSg = np.einsum("cqna,cqab,cqmb->cqnm", G, S, G)
-    K += np.einsum("cq,cqnm,ij->cnimj", wdet, gSg, I)
+        FG = G
+        Q = mu * _qsum(w * G, G)
+    else:
+        FG = G @ np.swapaxes(F, -1, -2)
+        Q = _qsum((w * G) @ _stress(F, lam, mu, 1), G)
+    M = _outer_qsum(w * FG, FG).reshape(nc, na, d, na, d)
+    K = lam * M + mu * M.transpose(0, 1, 4, 3, 2)
+    if kind == 1:
+        gg = G @ np.swapaxes(G, -1, -2)                    # (nc, nq, na, na)
+        FFt = w * (F @ np.swapaxes(F, -1, -2))
+        K += mu * _outer_qsum(gg, FFt).reshape(nc, na, na, d, d).transpose(0, 1, 3, 2, 4)
+    for i in range(d):
+        K[:, :, i, :, i] += Q
     return K
 
 
 def visc_elements(aaT, G, wdet):
     """K[c,a,b] = sum_q wdet * aaT[j,k] * G[b,k] * G[a,j]."""
-    return np.einsum("cq,cqjk,cqaj,cqbk->cab", wdet, aaT, G, G)
+    return _qsum((wdet[..., None, None] * G) @ aaT, G)
 
 
 def div_elements(a, G, valp, wdet):
     """B[c,p,a,i] = sum_q wdet * psi[p] * a[k,i] * G[a,k]."""
-    return np.einsum("cq,qp,cqki,cqak->cpai", wdet, valp, a, G)
+    nc, nq, na, d = G.shape
+    wpsi = wdet[..., None] * valp                          # (nc, nq, np)
+    return _outer_qsum(wpsi, G @ a).reshape(nc, -1, na, d)

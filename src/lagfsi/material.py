@@ -46,6 +46,11 @@ def _tr(M):
     return np.trace(M, axis1=-2, axis2=-1)
 
 
+def _tmul(A, B):
+    """A^T B over the last two axes."""
+    return np.swapaxes(A, -1, -2) @ B
+
+
 class StressRateBundle:
     """Time derivatives of the first Piola stress along a deformation path."""
 
@@ -95,7 +100,7 @@ class MaterialModel:
         d = F.shape[-1]
         I = np.eye(d)
         if self._svk:
-            return 0.5 * (np.einsum("...ai,...aj->...ij", F, F) - I)
+            return 0.5 * (_tmul(F, F) - I)
         return _sym(F - I)
 
     def energy_density(self, F):
@@ -108,7 +113,7 @@ class MaterialModel:
         F = np.asarray(F, dtype=float)
         S = self._cmul(self._strain(F))
         if self._svk:
-            return np.einsum("...ia,...ab->...ib", F, S)
+            return F @ S
         return S
 
     def second_pk(self, F):
@@ -123,40 +128,23 @@ class MaterialModel:
         if not self._svk:
             return self._cmul(G)
         S = self.second_pk(F)
-        FtG = np.einsum("...ai,...aj->...ij", F, G)
-        return np.einsum("...ia,...ab->...ib", F, self._cmul(FtG)) + np.einsum(
-            "...ia,...ab->...ib", G, S
-        )
+        return F @ self._cmul(_tmul(F, G)) + G @ S
 
     def d3_contract(self, F, G, H):
         """Matrix l_H l_G D^3W(F)."""
         if not self._svk:
             return np.zeros(np.broadcast(np.asarray(G), np.asarray(H)).shape)
         F, G, H = (np.asarray(M, dtype=float) for M in (F, G, H))
-
-        def m(A, B):
-            return np.einsum("...ai,...aj->...ij", A, B)
-
-        return (
-            np.einsum("...ia,...ab->...ib", H, self._cmul(m(F, G)))
-            + np.einsum("...ia,...ab->...ib", F, self._cmul(m(H, G)))
-            + np.einsum("...ia,...ab->...ib", G, self._cmul(m(F, H)))
-        )
+        c = self._cmul
+        return H @ c(_tmul(F, G)) + F @ c(_tmul(H, G)) + G @ c(_tmul(F, H))
 
     def d4_contract(self, G, H, K):
         """Matrix l_K l_H l_G D^4W (independent of F)."""
         if not self._svk:
             return np.zeros(np.broadcast(np.asarray(G), np.asarray(H)).shape)
         G, H, K = (np.asarray(M, dtype=float) for M in (G, H, K))
-
-        def m(A, B):
-            return np.einsum("...ai,...aj->...ij", A, B)
-
-        return (
-            np.einsum("...ia,...ab->...ib", H, self._cmul(m(K, G)))
-            + np.einsum("...ia,...ab->...ib", K, self._cmul(m(H, G)))
-            + np.einsum("...ia,...ab->...ib", G, self._cmul(m(K, H)))
-        )
+        c = self._cmul
+        return H @ c(_tmul(K, G)) + K @ c(_tmul(H, G)) + G @ c(_tmul(K, H))
 
     def d5_contract(self, G, H, K, L):
         return np.zeros(np.asarray(G, dtype=float).shape)

@@ -85,69 +85,57 @@ class ReferenceMesh:
         return [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
 
     def _classify_facets(self):
-        locs = self._facet_local_vertices()
-        fdict = {}
-        for ci, cell in enumerate(self.cells):
-            for li, loc in enumerate(locs):
-                verts = tuple(sorted(cell[list(loc)]))
-                fdict.setdefault(verts, []).append((ci, li))
-        facets = []
-        tags = []
-        owners = []
-        for verts, adj in sorted(fdict.items()):
-            if len(adj) == 1:
-                tag = OUTER
-            else:
-                r0 = self.region[adj[0][0]]
-                r1 = self.region[adj[1][0]]
-                tag = INTERFACE if r0 != r1 else INTERNAL
-            facets.append(verts)
-            tags.append(tag)
-            owners.append(adj)
-        self.facets = np.array(facets, dtype=np.int64)
-        self.facet_tags = np.array(tags, dtype=np.int64)
-        self.facet_cells = owners
-        # interface pairing: facet index -> (fluid cell, solid cell)
-        self.interface_pairing = {}
-        for fi in np.flatnonzero(self.facet_tags == INTERFACE):
-            cells = [c for c, _ in self.facet_cells[fi]]
-            regions = [self.region[c] for c in cells]
-            fluid_cell = cells[regions.index(FLUID)]
-            solid_cell = cells[regions.index(SOLID)]
-            self.interface_pairing[int(fi)] = (int(fluid_cell), int(solid_cell))
-        self._compute_facet_geometry()
+        """Unique facets in lexicographic vertex order, with their tags,
+        owners [(cell, local facet), ...] in cell order and, on the
+        interface, the (fluid cell, solid cell) pairing."""
+        locs = np.array(self._facet_local_vertices())
+        nloc = len(locs)
+        # row ci * nloc + li holds the sorted vertices of local facet li of cell ci
+        rows = np.sort(self.cells[:, locs], axis=2).reshape(-1, self.dimension)
+        self.facets, inv, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+        ci, li = np.divmod(np.argsort(inv.ravel(), kind="stable"), nloc)
+        start = np.cumsum(counts) - counts
+        c0 = ci[start]
+        c1 = ci[np.where(counts > 1, start + 1, start)]
+        r0, r1 = self.region[c0], self.region[c1]
+        self.facet_tags = np.where(
+            counts == 1, OUTER, np.where(r0 != r1, INTERFACE, INTERNAL)
+        ).astype(np.int64)
+        pairs = list(zip(ci.tolist(), li.tolist()))
+        self.facet_cells = [pairs[a:a + n] for a, n in zip(start.tolist(), counts.tolist())]
+        iface = np.flatnonzero(self.facet_tags == INTERFACE)
+        fluid_first = r0[iface] == FLUID
+        fluid_cell = np.where(fluid_first, c0[iface], c1[iface])
+        solid_cell = np.where(fluid_first, c1[iface], c0[iface])
+        self.interface_pairing = dict(
+            zip(iface.tolist(), zip(fluid_cell.tolist(), solid_cell.tolist()))
+        )
+        # normals point out of the solid on the interface, else out of the first owner
+        outward_from = c0.copy()
+        outward_from[iface] = solid_cell
+        self._compute_facet_geometry(outward_from)
 
-    def _compute_facet_geometry(self):
-        """Normals and measures.  Interface normals point outward from the
-        solid; outer normals point out of the domain."""
-        v = self.vertices
-        nf = len(self.facets)
-        self.facet_normal = np.zeros((nf, self.dimension))
-        self.facet_measure = np.zeros(nf)
-        centroids = v[self.cells].mean(axis=1)
-        for fi in range(nf):
-            pts = v[self.facets[fi]]
-            if self.dimension == 2:
-                t = pts[1] - pts[0]
-                n = np.array([t[1], -t[0]])
-                meas = np.linalg.norm(t)
-            else:
-                n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                meas = 0.5 * np.linalg.norm(n)
-            n = n / np.linalg.norm(n)
-            tag = self.facet_tags[fi]
-            if tag == INTERNAL:
-                ref_cell = self.facet_cells[fi][0][0]
-                outward_from = ref_cell
-            elif tag == OUTER:
-                outward_from = self.facet_cells[fi][0][0]
-            else:
-                _, solid_cell = self.interface_pairing[fi]
-                outward_from = solid_cell
-            if np.dot(n, pts.mean(axis=0) - centroids[outward_from]) < 0:
-                n = -n
-            self.facet_normal[fi] = n
-            self.facet_measure[fi] = meas
+    def _compute_facet_geometry(self, outward_from):
+        """Normals and measures; each normal points away from the centroid
+        of the cell outward_from[facet]."""
+        def norms(x):
+            # a dot product per row, rounded as np.linalg.norm of each row is
+            return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+        pts = self.vertices[self.facets]                     # (nf, d, d)
+        if self.dimension == 2:
+            t = pts[:, 1] - pts[:, 0]
+            n = np.column_stack([t[:, 1], -t[:, 0]])
+            meas = norms(t)
+        else:
+            n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+            meas = 0.5 * norms(n)
+        n /= norms(n)[:, None]
+        centroids = self.vertices[self.cells[outward_from]].mean(axis=1)
+        inward = np.sum(n * (pts.mean(axis=1) - centroids), axis=1) < 0
+        n[inward] *= -1
+        self.facet_normal = n
+        self.facet_measure = meas
 
     def _check_invariants(self):
         for fi in np.flatnonzero(self.facet_tags == INTERFACE):

@@ -31,6 +31,12 @@ def _local_edges(dim):
     return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def _grad_at(grads, u):
+    """Field gradients (n, nq, ncomp, d) from basis gradients (n, nq, nloc, d)
+    and cell nodal values (n, nloc, ncomp): u^T @ grads at every point."""
+    return np.swapaxes(u, 1, 2)[:, None] @ grads
+
+
 def basis_values(dim, degree, pts):
     """Reference basis values, shape (npts, nloc)."""
     lam = _bary(dim, pts)
@@ -140,11 +146,11 @@ class FieldSpace:
         self.detJ = detJ
         self.Jinv = Jinv
         # physical gradients: grad phi = Jinv^T grad_ref phi
-        self.gradq = np.einsum("cji,qaj->cqai", Jinv, gref)
+        self.gradq = gref @ Jinv[:, None]                     # (ncr, nq, nloc, d)
         self.wdet = qw[None, :] * detJ[:, None]               # (ncr, nq)
-        self.xq = verts[:, 0][:, None, :] + np.einsum("qj,cij->cqi", qp, J)
+        self.xq = verts[:, 0][:, None, :] + qp @ np.swapaxes(J, 1, 2)
         Href = basis_hessians(d, self.degree)                 # (nloc, d, d)
-        self.hessq = np.einsum("cki,akl,clj->caij", Jinv, Href, Jinv)
+        self.hessq = np.swapaxes(Jinv, 1, 2)[:, None] @ Href @ Jinv[:, None]
         self.nloc = self.val.shape[1]
         comp = np.arange(self.ncomp)
         self.cell_vdofs = (
@@ -163,7 +169,7 @@ class FieldSpace:
         gref = basis_grads(self.dim, self.degree, flat)
         val = val.reshape(ref.shape[:-1] + val.shape[-1:])
         gref = gref.reshape(ref.shape[:-1] + gref.shape[-2:])
-        return val, np.einsum("...ji,...maj->...mai", Jinv, gref)
+        return val, gref @ Jinv[..., None, :, :]
 
     # -- field operations ------------------------------------------------------
 
@@ -182,16 +188,17 @@ class FieldSpace:
 
     def eval_qp(self, dofs):
         u = self._as_nodal(dofs)[self.cell_dofs]              # (ncr, nloc, ncomp)
-        return np.einsum("qa,cak->cqk", self.val, u)
+        return self.val @ u
 
     def grad_qp(self, dofs):
-        u = self._as_nodal(dofs)[self.cell_dofs]
-        return np.einsum("cqai,cak->cqki", self.gradq, u)
+        return _grad_at(self.gradq, self._as_nodal(dofs)[self.cell_dofs])
 
     def hess_cells(self, dofs):
         """Second derivatives, constant per cell: (ncr, ncomp, d, d)."""
         u = self._as_nodal(dofs)[self.cell_dofs]
-        return np.einsum("caij,cak->ckij", self.hessq, u)
+        nc, d = len(self.cells), self.dim
+        return (np.swapaxes(u, 1, 2) @ self.hessq.reshape(nc, self.nloc, d * d)).reshape(
+            nc, self.ncomp, d, d)
 
     def integrate(self, values_qp):
         """Integrate scalar values sampled at quadrature points."""
@@ -233,15 +240,18 @@ class FieldSpace:
         np.add.at(out, self.cell_vdofs.ravel(), elem.ravel())
         return out
 
+    def component_blocks(self, m):
+        """Vector element matrices (ncr, nloc*ncomp, nloc*ncomp) applying the
+        scalar element matrices m (ncr, nloc, nloc) to each component alike."""
+        nc, nloc, k = len(self.cells), self.nloc, self.ncomp
+        elem = np.zeros((nc, nloc, k, nloc, k))
+        for i in range(k):
+            elem[:, :, i, :, i] = m
+        return elem.reshape(nc, nloc * k, nloc * k)
+
     def mass_matrix(self):
-        m = np.einsum("cq,qa,qb->cab", self.wdet, self.val, self.val)
-        if self.ncomp == 1:
-            return self.scatter_matrix(m)
-        nloc, nc = self.nloc, self.ncomp
-        elem = np.einsum("cab,ij->caibj", m, np.eye(nc)).reshape(
-            len(self.cells), nloc * nc, nloc * nc
-        )
-        return self.scatter_matrix(elem)
+        m = np.swapaxes(self.wdet[:, :, None] * self.val, 1, 2) @ self.val
+        return self.scatter_matrix(self.component_blocks(m))
 
     def boundary_scalar_dofs(self, facet_tag):
         """Scalar dofs of all nodes lying on facets with the given tag."""
@@ -325,7 +335,7 @@ class InterfaceData:
         self.pval_cell, _ = ps.basis_at(self.fluid_cell, self.xq)
 
     def _build_mass(self):
-        elem = np.einsum("kq,qa,qb->kab", self.wq, self.fval, self.fval)
+        elem = np.swapaxes(self.wq[:, :, None] * self.fval, 1, 2) @ self.fval
         rows = np.repeat(self.facet_trace, self.nlocf, axis=1).ravel()
         cols = np.tile(self.facet_trace, (1, self.nlocf)).ravel()
         M = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(self.ntr, self.ntr)).tocsr()
@@ -351,27 +361,23 @@ class InterfaceData:
     def trace_qp(self, lam):
         """Trace field values at facet quadrature points: (nfac, nqf, ncomp)."""
         u = np.asarray(lam).reshape(self.ntr, self.ncomp)[self.facet_trace]
-        return np.einsum("qa,kac->kqc", self.fval, u)
+        return self.fval @ u
 
     def fluid_qp(self, dofs):
-        u = self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs]
-        return np.einsum("kqa,kac->kqc", self.fval_cell, u)
+        return self.fval_cell @ self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs]
 
     def fluid_grad_qp(self, dofs):
-        u = self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs]
-        return np.einsum("kqai,kac->kqci", self.fgrad, u)
+        return _grad_at(self.fgrad, self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs])
 
     def solid_qp(self, dofs):
-        u = self.solid_space._as_nodal(dofs)[self.solid_cell_dofs]
-        return np.einsum("kqa,kac->kqc", self.sval_cell, u)
+        return self.sval_cell @ self.solid_space._as_nodal(dofs)[self.solid_cell_dofs]
 
     def solid_grad_qp(self, dofs):
-        u = self.solid_space._as_nodal(dofs)[self.solid_cell_dofs]
-        return np.einsum("kqai,kac->kqci", self.sgrad, u)
+        return _grad_at(self.sgrad, self.solid_space._as_nodal(dofs)[self.solid_cell_dofs])
 
     def pressure_qp(self, dofs):
         u = np.asarray(dofs)[self.pressure_cell_dofs]
-        return np.einsum("kqa,ka->kq", self.pval_cell, u)
+        return (self.pval_cell @ u[:, :, None])[..., 0]
 
     def integrate(self, values_qp):
         """Integrate scalar samples (nfac, nqf) over the interface."""
@@ -382,7 +388,7 @@ class InterfaceData:
 
     def functional(self, values_qp):
         """Trace-space dual vector of samples (nfac, nqf, ncomp)."""
-        elem = np.einsum("kq,qa,kqc->kac", self.wq, self.fval, values_qp)
+        elem = self.fval.T @ (self.wq[:, :, None] * values_qp)
         out = np.zeros(self.nlam)
         vdofs = self.facet_trace[:, :, None] * self.ncomp + np.arange(self.ncomp)
         np.add.at(out, vdofs.ravel(), elem.ravel())

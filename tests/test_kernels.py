@@ -1,9 +1,24 @@
-"""Assembly kernels on random 2-D (6-node) and 3-D (10-node) inputs."""
+"""Assembly kernels on random 2-D (6-node) and 3-D (10-node) inputs.
+
+The kernels, the quadrature-point evaluators and the material contractions
+are batched matmuls; each is checked against its einsum definition, kept
+here as the reference.  After editing a kernel, also compare its cost:
+
+    python3 perfbench/run.py --workload long2d-r5-g0 --trace 1
+
+prints one `kernels.<name>.self_s` line per kernel; compare them with the
+same run on the previous commit.
+"""
 
 import numpy as np
 import pytest
 
 from lagfsi import kernels
+from lagfsi.material import make_material
+from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
+from lagfsi.spaces import FieldSpace
+
+RTOL = 1e-13
 
 
 def _inputs(d, seed=0):
@@ -54,3 +69,127 @@ def test_visc_elements_symmetric(d):
     _, G, w, aaT, _ = _inputs(d, seed=7)
     K = kernels.visc_elements(aaT, G, w)
     assert np.abs(K - np.swapaxes(K, 1, 2)).max() < 1e-12 * np.abs(K).max()
+
+
+# -- einsum references ------------------------------------------------------------
+
+
+def _ref_elem_residual(P, G, w):
+    return np.einsum("cq,cqib,cqab->cai", w, P, G)
+
+
+def _ref_elem_tangent(F, G, w, lam, mu, kind):
+    d = G.shape[-1]
+    gg = np.einsum("cqna,cqma->cqnm", G, G)
+    if kind == 0:
+        K = lam * np.einsum("cq,cqni,cqmj->cnimj", w, G, G)
+        K += mu * np.einsum("cq,cqnm,ij->cnimj", w, gg, np.eye(d))
+        K += mu * np.einsum("cq,cqnj,cqmi->cnimj", w, G, G)
+        return K
+    I = np.eye(d)
+    E = 0.5 * (np.einsum("cqai,cqaj->cqij", F, F) - I)
+    tr = np.trace(E, axis1=-2, axis2=-1)
+    S = lam * tr[..., None, None] * I + 2 * mu * E
+    FG = np.einsum("cqia,cqna->cqni", F, G)
+    FFt = np.einsum("cqia,cqja->cqij", F, F)
+    K = lam * np.einsum("cq,cqni,cqmj->cnimj", w, FG, FG)
+    K += mu * np.einsum("cq,cqij,cqnm->cnimj", w, FFt, gg)
+    K += mu * np.einsum("cq,cqmi,cqnj->cnimj", w, FG, FG)
+    gSg = np.einsum("cqna,cqab,cqmb->cqnm", G, S, G)
+    K += np.einsum("cq,cqnm,ij->cnimj", w, gSg, I)
+    return K
+
+
+def _ref_pk1(F, lam, mu, kind):
+    d = F.shape[-1]
+    I = np.eye(d)
+    if kind == 1:
+        E = 0.5 * (np.einsum("...ai,...aj->...ij", F, F) - I)
+    else:
+        E = 0.5 * ((F - I) + np.swapaxes(F - I, -1, -2))
+    S = lam * np.trace(E, axis1=-2, axis2=-1)[..., None, None] * I + 2 * mu * E
+    return np.einsum("...ia,...ab->...ib", F, S) if kind == 1 else S
+
+
+def _ref_visc_elements(aaT, G, w):
+    return np.einsum("cq,cqjk,cqaj,cqbk->cab", w, aaT, G, G)
+
+
+def _ref_div_elements(a, G, valp, w):
+    return np.einsum("cq,qp,cqki,cqak->cpai", w, valp, a, G)
+
+
+def _ref_m(A, B):
+    return np.einsum("...ai,...aj->...ij", A, B)
+
+
+def _ref_mul(A, B):
+    return np.einsum("...ia,...ab->...ib", A, B)
+
+
+def _ref_d2_contract(mdl, F, G):
+    S = mdl._cmul(0.5 * (_ref_m(F, F) - np.eye(F.shape[-1])))
+    return _ref_mul(F, mdl._cmul(_ref_m(F, G))) + _ref_mul(G, S)
+
+
+def _ref_d3_contract(mdl, F, G, H):
+    return (_ref_mul(H, mdl._cmul(_ref_m(F, G))) + _ref_mul(F, mdl._cmul(_ref_m(H, G)))
+            + _ref_mul(G, mdl._cmul(_ref_m(F, H))))
+
+
+def _ref_d4_contract(mdl, G, H, K):
+    return (_ref_mul(H, mdl._cmul(_ref_m(K, G))) + _ref_mul(K, mdl._cmul(_ref_m(H, G)))
+            + _ref_mul(G, mdl._cmul(_ref_m(K, H))))
+
+
+def _close(new, ref):
+    assert new.shape == ref.shape
+    return np.abs(new - ref).max() <= RTOL * np.abs(ref).max()
+
+
+# -- kernels against their references ---------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_assembly_kernels_match_einsum(d):
+    F, G, w, aaT, valp = _inputs(d, seed=11)
+    a, _ = kernels.inv_det(F)
+    assert _close(kernels.visc_elements(aaT, G, w), _ref_visc_elements(aaT, G, w))
+    assert _close(kernels.div_elements(a, G, valp, w), _ref_div_elements(a, G, valp, w))
+    for kind in (0, 1):
+        P = kernels.pk1(F, 1.3, 0.8, kind)
+        assert _close(P, _ref_pk1(F, 1.3, 0.8, kind))
+        assert _close(kernels.elem_residual(P, G, w), _ref_elem_residual(P, G, w))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [0, 1])
+def test_elem_tangent_matches_einsum(d, kind):
+    F, G, w, _, _ = _inputs(d, seed=12)
+    K = kernels.elem_tangent(F, G, w, 1.3, 0.8, kind)
+    assert _close(K, _ref_elem_tangent(F, G, w, 1.3, 0.8, kind))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_evaluators_match_einsum(d):
+    mesh = build_annular_mesh(d, 0.4, 1.0, 4)
+    rng = np.random.default_rng(13)
+    for region, ncomp in ((FLUID, d), (SOLID, d), (FLUID, 1)):
+        space = FieldSpace(mesh, region, 2, ncomp)
+        dofs = rng.standard_normal(space.ndof)
+        u = dofs.reshape(space.nscalar, ncomp)[space.cell_dofs]
+        assert _close(space.eval_qp(dofs), np.einsum("qa,cak->cqk", space.val, u))
+        assert _close(space.grad_qp(dofs), np.einsum("cqai,cak->cqki", space.gradq, u))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_material_contractions_match_einsum(d):
+    rng = np.random.default_rng(14)
+    F = np.eye(d) + 0.15 * rng.standard_normal((13, 7, d, d))
+    G, H, K = (rng.standard_normal((13, 7, d, d)) for _ in range(3))
+    mdl = make_material("saint-venant-kirchhoff", 1.3, 0.8)
+    assert _close(mdl.d2_contract(F, G), _ref_d2_contract(mdl, F, G))
+    assert _close(mdl.d3_contract(F, G, H), _ref_d3_contract(mdl, F, G, H))
+    assert _close(mdl.d4_contract(G, H, K), _ref_d4_contract(mdl, G, H, K))
+    # one unbatched operand broadcasts as in the einsum "..." form
+    assert _close(mdl.d2_contract(np.eye(d), G), _ref_d2_contract(mdl, np.eye(d), G))

@@ -62,6 +62,17 @@ def test_advance_linear_stretch(setup):
     assert rep.min_ellipticity == pytest.approx(expect, abs=1e-12)
 
 
+def test_interface_determinant_is_kept(setup):
+    _, vs, iface = setup
+    kin = KinematicState.initial(vs, iface)
+    assert np.all(kin.det_facet == 1.0)
+    v = vs.interpolate(lambda x: np.array([0.2 * x[0] ** 2, -0.1 * x[0] * x[1]]))
+    kin2 = advance_flow_map(kin, v, 0.5)
+    assert np.abs(kin2.det_facet - np.linalg.det(kin2.grad_eta_facet)).max() < 1e-14
+    rep = kinematic_bounds_report(kin2)
+    assert rep.det_min == min(kin2.det.min(), kin2.det_facet.min())
+
+
 def test_a_time_derivative_values():
     assert np.abs(a_time_derivative(np.eye(2), np.zeros((2, 2)))).max() == 0.0
     M = np.array([[0.3, -1.2], [0.7, 0.1]])

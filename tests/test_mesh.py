@@ -200,3 +200,55 @@ def test_3d_mesh_volumes():
     assert mesh.region_volume(SOLID) < 4 / 3 * np.pi * RI**3
     margin = star_shape_margin(mesh, np.zeros(3))
     assert 0 < margin <= RI
+
+
+def _per_facet_tables(mesh):
+    """Facet tables built one facet at a time: a dict of sorted vertex
+    tuples, then one normal per facet, oriented away from the solid cell on
+    the interface and away from the first owner elsewhere."""
+    fdict = {}
+    for ci, cell in enumerate(mesh.cells):
+        for li, loc in enumerate(mesh._facet_local_vertices()):
+            fdict.setdefault(tuple(sorted(cell[list(loc)])), []).append((ci, li))
+    facets, tags, owners, pairing = [], [], [], {}
+    for fi, (verts, adj) in enumerate(sorted(fdict.items())):
+        regions = [mesh.region[c] for c, _ in adj]
+        if len(adj) == 1:
+            tags.append(OUTER)
+        elif regions[0] != regions[1]:
+            tags.append(INTERFACE)
+            cells = [c for c, _ in adj]
+            pairing[fi] = (cells[regions.index(FLUID)], cells[regions.index(SOLID)])
+        else:
+            tags.append(0)
+        facets.append(verts)
+        owners.append(adj)
+    normals, measures = [], []
+    for fi, verts in enumerate(facets):
+        pts = mesh.vertices[list(verts)]
+        if mesh.dimension == 2:
+            t = pts[1] - pts[0]
+            n = np.array([t[1], -t[0]])
+            meas = np.linalg.norm(t)
+        else:
+            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            meas = 0.5 * np.linalg.norm(n)
+        n = n / np.linalg.norm(n)
+        cell = pairing[fi][1] if tags[fi] == INTERFACE else owners[fi][0][0]
+        if np.dot(n, pts.mean(axis=0) - mesh.vertices[mesh.cells[cell]].mean(axis=0)) < 0:
+            n = -n
+        normals.append(n)
+        measures.append(meas)
+    return np.array(facets), np.array(tags), owners, pairing, np.array(normals), np.array(measures)
+
+
+@pytest.mark.parametrize("dim, res", [(2, 5), (3, 4)])
+def test_facet_tables_match_per_facet_reference(dim, res):
+    mesh = build_annular_mesh(dim, RI, RO, res)
+    facets, tags, owners, pairing, normals, measures = _per_facet_tables(mesh)
+    assert np.array_equal(mesh.facets, facets)
+    assert np.array_equal(mesh.facet_tags, tags)
+    assert mesh.facet_cells == owners
+    assert mesh.interface_pairing == pairing
+    assert np.abs(mesh.facet_normal - normals).max() <= 1e-15
+    assert np.abs(mesh.facet_measure - measures).max() <= 1e-15
