@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import diagnostics, fluid as fluidmod, mesh as meshmod, solid as solidmod
 from .errors import PreconditionError, SolverError
@@ -63,7 +62,8 @@ class CouplingConfig:
 
 
 class CoupledProblem:
-    """Spaces, interface structures and constant matrices on one mesh."""
+    """Spaces, interface structures and constant matrices on one mesh, and
+    the LU factor of the coupled tangent that the steps of a run share."""
 
     def __init__(self, mesh, model):
         d = mesh.dimension
@@ -80,6 +80,9 @@ class CoupledProblem:
         self.outer_tables = fluidmod._outer_facet_tables(mesh, self.pspace)
         # interface trace nodes never sit on the outer boundary
         assert self.free_fluid[self.interface.C_fluid.tocoo().row].all()
+        # the tangent moves by O(dt) from one step to the next, so one factor,
+        # keyed on dt, preconditions the Newton corrections of many steps
+        self.factor = solidmod.FactorStore()
 
 
 class CoupledState:
@@ -143,7 +146,7 @@ def initial_state(problem, cfg, model, v0, w0, w1):
     trac = model.traction(iface.solid_grad_qp(w0), iface.normal[:, None, :])
     lam0 = iface.project(trac)
     rhs = iface.C_solid @ lam0 - solidmod.internal_force(model, ss, w0) - problem.M_solid @ w0
-    wtt0 = spla.spsolve(problem.M_solid.tocsc(), rhs)
+    wtt0 = solidmod.lu_factor(problem.M_solid).solve(rhs)
     return CoupledState(problem, np.array(v0, dtype=float), q0, np.array(w0, dtype=float),
                         np.array(w1, dtype=float), wtt0, lam0, kin, 0.0)
 
@@ -222,8 +225,10 @@ def coupled_step(state, cfg, model, step_index=0):
         return J
 
     u, info = solidmod.newton_solve(
-        residual, counted_tangent, u0, tol=cfg.newton_tol, maxit=cfg.newton_maxit
+        residual, counted_tangent, u0, tol=cfg.newton_tol, maxit=cfg.newton_maxit,
+        store=problem.factor, key=dt,
     )
+    info["retried"] = False
     log.info(
         "step %d t=%.6g newton iterations=%d residuals=%s factorizations=%d krylov_its=%d",
         step_index, state.time + dt, info["iterations"],
@@ -260,16 +265,13 @@ def run_simulation(cfg, init, model, mesh):
     nsteps = int(round(cfg.t_end / cfg.dt))
     for n in range(1, nsteps + 1):
         try:
-            state = coupled_step(state, cfg, model, step_index=n)
+            new = coupled_step(state, cfg, model, step_index=n)
         except SolverError as exc:
             log.warning("step %d failed (%s); retrying with dt/2", n, exc)
-            half = CouplingConfig(**{**cfg.__dict__, "dt": cfg.dt / 2})
-            mid = coupled_step(state, half, model, step_index=n)
-            new = coupled_step(mid, half, model, step_index=n)
-            # the diagnostics difference the ring with cfg.dt: keep it spaced
-            # by dt, without the half-step state
-            new.history = state.next_history()
-            state = new
+            new = None
+        # retry outside the handler: the exception's frames hold the failed
+        # solve's tangent and factor
+        state = new if new is not None else _retry_halved(state, cfg, model, n)
         recorder.add(state)
         if cfg.vtk_every and n % cfg.vtk_every == 0:
             _export_state(cfg, problem, state, n)
@@ -277,6 +279,24 @@ def run_simulation(cfg, init, model, mesh):
     if cfg.csv_path:
         diagnostics.write_csv(cfg.csv_path, recorder.reports)
     return recorder.reports, state
+
+
+def _retry_halved(state, cfg, model, n):
+    """Step n as two steps of dt/2.  The result's newton_info is flagged
+    `retried` and counts the factorizations and GMRES iterations of both."""
+    half = CouplingConfig(**{**cfg.__dict__, "dt": cfg.dt / 2})
+    mid = coupled_step(state, half, model, step_index=n)
+    new = coupled_step(mid, half, model, step_index=n)
+    # the diagnostics difference the ring with cfg.dt: keep it spaced by dt,
+    # without the half-step state
+    new.history = state.next_history()
+    info = new.newton_info
+    info["retried"] = True
+    for key in ("factorizations", "krylov_its"):
+        info[key] += mid.newton_info[key]
+    log.info("step %d retried as two steps of dt/2: factorizations=%d krylov_its=%d",
+             n, info["factorizations"], info["krylov_its"])
+    return new
 
 
 def _export_state(cfg, problem, state, n):

@@ -8,11 +8,11 @@ a, so the pressure blocks are exact transposes of each other.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernels, mesh as meshmod
 from .errors import MeshDegenerationError
 from .kinematics import _min_eig_sym
+from .solid import lu_factor
 from .spaces import basis_values
 
 
@@ -124,7 +124,7 @@ def solve_initial_pressure(problem, v0, w0, model):
     free = np.setdiff1d(np.arange(pspace.nscalar), fixed)
     A = A.tocsc()
     rhs = b[free] - A[free][:, fixed] @ gvals
-    qf = spla.spsolve(A[free][:, free], rhs)
+    qf = lu_factor(A[free][:, free]).solve(rhs)
     q0 = np.zeros(pspace.nscalar)
     q0[fixed] = gvals
     q0[free] = qf
@@ -145,22 +145,3 @@ def _vertex_datum(iface, k, x, nu, v0, w0, model):
     trac = model.traction(Dw, nu)
     nu_row, nu_col = nu[..., None, :], nu[..., :, None]
     return (nu_row @ Dv @ nu_col - trac[..., None, :] @ nu_col)[..., 0, 0]
-
-
-def pressure_schur_condition(problem, dt=1.0, viscosity=1.0):
-    """Condition number of the pressure Schur complement at a = I
-    (tracked as an inf-sup health indicator, not gated)."""
-    from .kinematics import KinematicState
-
-    kin = KinematicState.initial(problem.vspace, problem.interface)
-    op = assemble_fluid_operator(kin, dt, viscosity, problem.vspace, problem.pspace,
-                                 mass=problem.M_fluid)
-    free = problem.free_fluid
-    A = op.A[free][:, free].tocsc()
-    B = op.B[:, free].tocsr()
-    Ainv = spla.splu(A)
-    S = np.array([B @ Ainv.solve(col) for col in B.toarray()])
-    S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
-    w = w[np.abs(w) > 1e-12 * np.abs(w).max()]
-    return float(w.max() / w.min())

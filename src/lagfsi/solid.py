@@ -85,16 +85,37 @@ LU_PIVOT_THRESHOLD = 0.01
 # Relative residual of each Newton correction: the corrections then agree
 # with a fresh direct solve to about 1e-14.
 KRYLOV_RTOL = 1e-13
-# The LU of a step's first tangent solves the second tangent in 3 GMRES
-# iterations (2-D res 5 and 3-D res 4); more than this means it is stale.
+# With the factor carried over from earlier steps at the same dt, a step's
+# corrections take at most 8 GMRES iterations together (2-D res 5 over 300
+# steps, 3-D res 4 over 6 steps); more than this means it is stale.
 KRYLOV_MAXIT = 10
 
 
-def _factor(J, history):
+def lu_factor(A, history=None):
+    """SuperLU factor of the sparse matrix A on the step's ordering and pivot
+    threshold; raises SolverError (with `history` attached) if A is singular."""
     try:
-        return spla.splu(J, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESHOLD)
+        return spla.splu(A.tocsc(), permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESHOLD)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"tangent factorization failed: {exc}", history=history) from exc
+        raise SolverError(f"LU factorization failed: {exc}", history=history) from exc
+
+
+class FactorStore:
+    """At most one LU factor of a Newton tangent, kept between solves with
+    the key it was built for (for the coupled step, the time step)."""
+
+    def __init__(self):
+        self.lu = None
+        self.key = None
+
+    def take(self, key):
+        """Empty the store; return its factor if it was built for `key`."""
+        lu = self.lu if self.key == key else None
+        self.lu = self.key = None
+        return lu
+
+    def put(self, lu, key):
+        self.lu, self.key = lu, key
 
 
 def _krylov_solve(J, lu, b):
@@ -108,13 +129,17 @@ def _krylov_solve(J, lu, b):
     return (lu.solve(y) if info == 0 else None), len(its)
 
 
-def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25):
+def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25, store=None, key=None):
     """Newton iteration with an absolute residual-norm stop.
 
-    The first tangent is LU-factored once; every correction is then solved
-    on the current tangent by GMRES preconditioned with that factor, and the
-    factor is rebuilt at the current tangent only when GMRES misses
-    KRYLOV_RTOL.  Returns (u, info) where info carries the iteration count,
+    Every correction is solved on the current tangent by GMRES
+    preconditioned with an LU factor of an earlier tangent.  The factor is
+    taken from `store` if it holds one built for `key` (so a run factors
+    once and carries the factor from step to step), else the first tangent
+    is factored; it is rebuilt at the current tangent only when GMRES
+    misses KRYLOV_RTOL, and the old factor is released first.  A converged
+    solve leaves its factor in `store` under `key`; a failed one leaves the
+    store empty.  Returns (u, info) where info carries the iteration count,
     the residual-norm history and the counts of factorizations and GMRES
     iterations; raises SolverError (with the history attached) if maxit is
     exhausted or a tangent cannot be factored or solved.
@@ -122,25 +147,28 @@ def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25):
     u = np.array(u0, dtype=float)
     history = []
     info = {"iterations": 0, "residuals": history, "factorizations": 0, "krylov_its": 0}
-    lu = None
+    store = store if store is not None else FactorStore()
+    lu = store.take(key)
     for it in range(maxit + 1):
         R = residual(u)
         nrm = float(np.linalg.norm(R))
         history.append(nrm)
         if nrm <= tol:
             info["iterations"] = it
+            store.put(lu, key)
             return u, info
         if it == maxit:
             break
         J = tangent(u).tocsc()
         reused = lu is not None
         if not reused:
-            lu = _factor(J, history)
+            lu = lu_factor(J, history)
             info["factorizations"] += 1
         du, its = _krylov_solve(J, lu, -R)
         info["krylov_its"] += its
         if du is None and reused:
-            lu = _factor(J, history)
+            lu = None  # release the stale factor before building its successor
+            lu = lu_factor(J, history)
             info["factorizations"] += 1
             du, its = _krylov_solve(J, lu, -R)
             info["krylov_its"] += its

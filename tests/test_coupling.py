@@ -246,12 +246,15 @@ def test_retry_keeps_history_spaced_by_dt(monkeypatch):
     uniform, _ = _small_run(t_end=0.15)
     step = coupling.coupled_step
     failed = []
+    infos = []
 
     def fail_once_at_step_10(state, cfg, model, step_index=0):
         if step_index == 10 and not failed:
             failed.append(cfg.dt)
             raise SolverError("injected failure")
-        return step(state, cfg, model, step_index)
+        new = step(state, cfg, model, step_index)
+        infos.append((step_index, cfg.dt, new.newton_info))
+        return new
 
     monkeypatch.setattr(coupling, "coupled_step", fail_once_at_step_10)
     retried, _ = _small_run(t_end=0.15)
@@ -260,6 +263,45 @@ def test_retry_keeps_history_spaced_by_dt(monkeypatch):
     assert retried[10].D1 == pytest.approx(uniform[10].D1, rel=0.05)
     assert retried[10].V2 == pytest.approx(uniform[10].V2, rel=0.05)
     assert retried[-1].res_j1 == pytest.approx(uniform[-1].res_j1, rel=0.01)
+    # the half steps factor at once instead of trying the factor kept for dt,
+    # and the step after them factors again at dt
+    (_, dt1, first), (_, dt2, second) = [i for i in infos if i[0] == 10]
+    (_, dt3, after), = [i for i in infos if i[0] == 11]
+    assert (dt1, dt2, dt3) == (5e-3, 5e-3, 1e-2)
+    assert first["factorizations"] == 1
+    assert after["factorizations"] == 1
+    # the retried step is flagged and counts the work of both half steps,
+    # which share one factor
+    assert second["retried"] and not first["retried"] and not after["retried"]
+    assert second["factorizations"] == 1
+    assert second["krylov_its"] > first["krylov_its"]
+
+
+def test_factor_kept_across_steps_matches_fresh_factors(monkeypatch):
+    # 60 steps share one LU of the tangent; dropping the stored factor
+    # before every step gives the per-step LU run, matched to round-off
+    step = coupling.coupled_step
+    finals, counts = [], []
+    for fresh in (False, True):
+        infos = []
+
+        def counted_step(state, cfg, model, step_index=0):
+            if fresh:
+                state.problem.factor.lu = None
+            new = step(state, cfg, model, step_index)
+            infos.append(new.newton_info)
+            return new
+
+        monkeypatch.setattr(coupling, "coupled_step", counted_step)
+        _, state = _small_run(gamma=0.0, dt=5e-3, t_end=0.3)
+        assert len(infos) == 60
+        finals.append(state)
+        counts.append(sum(info["factorizations"] for info in infos))
+    assert counts == [1, 60]
+    kept, ref = finals
+    for name in ("v", "q", "w", "lam"):
+        a, b = getattr(kept, name), getattr(ref, name)
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
 
 
 def test_three_dimensional_step():

@@ -10,8 +10,8 @@ from lagfsi.errors import SolverError
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 from lagfsi.solid import (
-    NEWMARK_BETA, NEWMARK_GAMMA, internal_force, newmark_update, newton_solve,
-    solid_residual, solid_tangent, stiffness_matrix,
+    NEWMARK_BETA, NEWMARK_GAMMA, FactorStore, internal_force, lu_factor, newmark_update,
+    newton_solve, solid_residual, solid_tangent, stiffness_matrix,
 )
 
 from oracle_fem import DenseStep, make_tiny_mesh
@@ -204,6 +204,49 @@ def test_newton_refactors_a_stale_tangent():
     for r in info["residuals"][:-1]:
         assert np.linalg.norm(residual(ref)) == pytest.approx(r, rel=1e-9, abs=1e-13)
         ref = ref - np.linalg.solve(tangent(ref).toarray(), residual(ref))
+
+
+def _mild_cubic(n=100):
+    # R(u) = A u + c u^3 - b with a small c: the tangent moves little along
+    # the Newton path, so the factor of the first tangent serves every iterate
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) + sp.identity(n)
+    b = np.random.default_rng(5).uniform(1.0, 10.0, n)
+    c = 1e-3
+
+    def residual(u):
+        return A @ u + c * u**3 - b
+
+    def tangent(u):
+        return (A + sp.diags(3 * c * u**2)).tocsc()
+
+    return residual, tangent
+
+
+def test_newton_replaces_a_far_off_stored_factor():
+    n = 100
+    residual, tangent = _mild_cubic(n)
+    store = FactorStore()
+    store.put(lu_factor(tangent(np.full(n, 100.0))), "dt")
+    u, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10, store=store, key="dt")
+    assert info["factorizations"] == 1
+    assert store.key == "dt" and store.lu is not None
+    ref = np.zeros(n)
+    for r in info["residuals"][:-1]:
+        assert np.linalg.norm(residual(ref)) == pytest.approx(r, rel=1e-9, abs=1e-13)
+        ref = ref - np.linalg.solve(tangent(ref).toarray(), residual(ref))
+    # a solve under another key does not use the stored factor
+    _, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10, store=store, key="dt/2")
+    assert info["factorizations"] == 1
+
+
+def test_newton_failure_leaves_no_factor():
+    n = 100
+    residual, tangent = _mild_cubic(n)
+    store = FactorStore()
+    store.put(lu_factor(tangent(np.zeros(n))), "dt")
+    with pytest.raises(SolverError):
+        newton_solve(residual, tangent, np.zeros(n), tol=1e-14, maxit=1, store=store, key="dt")
+    assert store.lu is None and store.key is None
 
 
 def test_newton_singular_tangent_raises():
