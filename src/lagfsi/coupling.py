@@ -23,9 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import diagnostics, fluid as fluidmod, mesh as meshmod, solid as solidmod
+from . import sparsity
 from .errors import PreconditionError, SolverError
 from .kinematics import KinematicState, advance_flow_map
 from .spaces import FieldSpace, InterfaceData
@@ -79,10 +79,96 @@ class CoupledProblem:
         self.free_fluid = self.vspace.free_mask(meshmod.OUTER)
         self.outer_tables = fluidmod._outer_facet_tables(mesh, self.pspace)
         # interface trace nodes never sit on the outer boundary
-        assert self.free_fluid[self.interface.C_fluid.tocoo().row].all()
+        assert self.free_fluid[self.interface.C_fluid.indices].all()
+        self.tangent = CoupledTangent(self)
         # the tangent moves by O(dt) from one step to the next, so one factor,
         # keyed on dt, preconditions the Newton corrections of many steps
         self.factor = solidmod.FactorStore()
+
+
+class CoupledTangent:
+    """The fixed CSC pattern of the coupled tangent in (v_free, q, w, lambda)
+    and, for each block matrix, the tangent slot of each of its entries.
+
+    Its data is filled in three layers: the constant blocks (M_f/dt, the
+    solid mass coefficient, C_f, C_s and its Newmark-scaled transpose,
+    -gamma M_Gamma) once per (dt, gamma) in `base`; the fluid blocks at a
+    step's frozen a a^T in `step_data`; the solid stiffness at each Newton
+    iterate in `matrix`.  Every tangent shares the pattern's index arrays.
+    """
+
+    def __init__(self, problem):
+        vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
+        free = problem.free_fluid
+        fmap = np.where(free, np.cumsum(free) - 1, -1)
+        self.sizes = (int(free.sum()), ps.nscalar, ss.ndof, iface.nlam)
+        visc = vs.assembly(components=True).pattern
+        div = ps.assembly(vs).pattern
+        elastic = ss.assembly().pattern
+        Cf, Cs = sparsity.Pattern.of(iface.C_fluid), sparsity.Pattern.of(iface.C_solid)
+
+        def transposed(pattern, rows=None, cols=None):
+            pattern_t, order = sparsity.transpose(pattern)
+            sub, src = sparsity.restrict(pattern_t, rows, cols)
+            return sub, order[src]
+
+        # block -> (pattern, slot of the source matrix carried by each of its
+        # slots; None: the source's own slots)
+        views = {
+            (0, 0): sparsity.restrict(visc, fmap, fmap),
+            (0, 1): transposed(div, rows=fmap),
+            (0, 3): sparsity.restrict(Cf, fmap),
+            (1, 0): sparsity.restrict(div, cols=fmap),
+            (2, 2): (elastic, None),
+            (2, 3): (Cs, None),
+            (3, 0): transposed(Cf, cols=fmap),
+            (3, 2): transposed(Cs),
+            (3, 3): (sparsity.Pattern.of(iface.M_vec), None),
+        }
+        self.pattern, slots = sparsity.stack({b: p for b, (p, _) in views.items()}, self.sizes)
+        # block -> (tangent slots, source slots): data[slots] += values[source]
+        self._terms = {b: (slots[b], src) for b, (_, src) in views.items()}
+        mass = sparsity.locate(ss.assembly(components=True).pattern, elastic)
+        self._terms["solid mass"] = (slots[2, 2][mass], None)
+        self._constant = (problem.M_fluid, problem.M_solid, iface.C_fluid, iface.C_solid,
+                          iface.M_vec)
+        self._base_key = self._base = None
+
+    def _add(self, data, block, values, scale=1.0):
+        slots, src = self._terms[block]
+        data[slots] += scale * (values if src is None else values[src])
+
+    def base(self, dt, gamma):
+        """Data of the constant blocks at (dt, gamma), kept for the next call."""
+        if self._base_key != (dt, gamma):
+            M_f, M_s, C_f, C_s, M_g = self._constant
+            self._base = None
+            data = np.zeros(self.pattern.nnz)
+            self._add(data, (0, 0), M_f.data, 1.0 / dt)
+            self._add(data, "solid mass", M_s.data, 1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0)
+            self._add(data, (0, 3), C_f.data)
+            self._add(data, (3, 0), C_f.data)
+            self._add(data, (2, 3), C_s.data, -1.0)
+            self._add(data, (3, 2), C_s.data, -solidmod.newmark_rate_factor(dt))
+            self._add(data, (3, 3), M_g.data, -gamma)
+            self._base, self._base_key = data, (dt, gamma)
+        return self._base
+
+    def step_data(self, op, gamma):
+        """Tangent data without the solid stiffness for the fluid operator `op`
+        of one step: the constant blocks plus viscosity K, B and -B^T."""
+        data = self.base(op.dt, gamma).copy()
+        self._add(data, (0, 0), op.K.data, op.viscosity)
+        self._add(data, (1, 0), op.B.data)
+        self._add(data, (0, 1), op.B.data, -1.0)
+        return data
+
+    def matrix(self, data, stiffness=None):
+        """The tangent with `data`, plus the solid `stiffness` matrix if given."""
+        if stiffness is not None:
+            data = data.copy()
+            self._add(data, (2, 2), stiffness.data)
+        return self.pattern.matrix(data)
 
 
 class CoupledState:
@@ -146,7 +232,9 @@ def initial_state(problem, cfg, model, v0, w0, w1):
     trac = model.traction(iface.solid_grad_qp(w0), iface.normal[:, None, :])
     lam0 = iface.project(trac)
     rhs = iface.C_solid @ lam0 - solidmod.internal_force(model, ss, w0) - problem.M_solid @ w0
-    wtt0 = solidmod.lu_factor(problem.M_solid).solve(rhs)
+    # M_solid = M (x) I: solve the components as columns of the scalar factor
+    lu = solidmod.lu_factor(ss.scalar_mass_matrix())
+    wtt0 = lu.solve(rhs.reshape(ss.nscalar, ss.ncomp)).ravel()
     return CoupledState(problem, np.array(v0, dtype=float), q0, np.array(w0, dtype=float),
                         np.array(w1, dtype=float), wtt0, lam0, kin, 0.0)
 
@@ -176,43 +264,32 @@ def coupled_step(state, cfg, model, step_index=0):
 
     op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps, mass=problem.M_fluid)
     free = problem.free_fluid
-    A_ff = op.A[free][:, free].tocsr()
-    B_f = op.B[:, free].tocsr()
-    C_f = iface.C_fluid[free].tocsr()
-    C_s = iface.C_solid
     M_s = problem.M_solid
-    Mg = iface.M_vec
-
-    rhs_v = (problem.M_fluid @ state.v)[free] / dt
-
-    nf, nq, nw, nl = len(rhs_v), ps.nscalar, ss.ndof, iface.nlam
+    C_s = iface.C_solid
+    # The fluid, pressure and trace rows are affine in u: J0 u - b, with J0
+    # the tangent without the solid stiffness.  The trace rows' constant is
+    # C_s^T w_t(w = 0), since the Newmark w_t is affine in w.
+    data0 = problem.tangent.step_data(op, cfg.gamma)
+    J0 = problem.tangent.matrix(data0)
+    nf, nq, nw, _ = problem.tangent.sizes
+    ws = slice(nf + nq, nf + nq + nw)
+    wt_at_zero, _ = solidmod.newmark_update(np.zeros(nw), state.w, state.wt, state.wtt, dt)
+    b = np.zeros(J0.shape[0])
+    b[:nf] = (problem.M_fluid @ state.v)[free] / dt
+    b[ws.stop:] = C_s.T @ wt_at_zero
 
     def unpack(u):
-        return (u[:nf], u[nf:nf + nq], u[nf + nq:nf + nq + nw], u[nf + nq + nw:])
+        return (u[:nf], u[nf:nf + nq], u[ws], u[ws.stop:])
 
     def residual(u):
-        vf, q, w, lam = unpack(u)
-        wt, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
-        Rv = A_ff @ vf - B_f.T @ q + C_f @ lam - rhs_v
-        Rq = B_f @ vf
-        Rw = solidmod.solid_residual(model, ss, M_s, w, wtt, C_s @ lam)
-        v_tr = np.zeros(vs.ndof)
-        v_tr[free] = vf
-        Rl = iface.C_fluid.T @ v_tr - C_s.T @ wt - cfg.gamma * (Mg @ lam)
-        return np.concatenate([Rv, Rq, Rw, Rl])
+        _, _, w, lam = unpack(u)
+        _, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
+        R = J0 @ u - b
+        R[ws] = solidmod.solid_residual(model, ss, M_s, w, wtt, C_s @ lam)
+        return R
 
     def tangent(u):
-        _, _, w, _ = unpack(u)
-        A_ww = solidmod.solid_tangent(model, ss, M_s, w, dt)
-        return sp.bmat(
-            [
-                [A_ff, -B_f.T, None, C_f],
-                [B_f, None, None, None],
-                [None, None, A_ww, -C_s],
-                [C_f.T, None, -solidmod.newmark_rate_factor(dt) * C_s.T, -cfg.gamma * Mg],
-            ],
-            format="csc",
-        )
+        return problem.tangent.matrix(data0, solidmod.stiffness_matrix(model, ss, u[ws]))
 
     u0 = np.concatenate([state.v[free], state.q, state.w, state.lam])
     it = [0]

@@ -350,22 +350,6 @@ def energy_identity_residual(reports, gamma, j, window=None):
     return (Vs[idx[-1]] - Vs[idx[0]]) + integral
 
 
-def perturbation_integral_R1(reports, window=None):
-    """Time integral of the coefficient-rate perturbation pairing
-    (trapezoidal over reports): -<d_t(a a^T) Dv, Dv_t> + <a_t q, Dv_t>
-    - <a_t q_t, Dv>, accumulated over the window."""
-    ts = np.array([r.t for r in reports])
-    gs = np.array([r.integrands.get("r1_term", nan) for r in reports], dtype=float)
-    valid = ~np.isnan(gs)
-    if window is not None:
-        valid &= (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
-    idx = np.flatnonzero(valid)
-    if len(idx) < 2:
-        return nan
-    sl = slice(idx[0], idx[-1] + 1)
-    return float(np.trapezoid(gs[sl], ts[sl]))
-
-
 def fit_decay_rate(series, window=None, floor_factor=100.0):
     """Least-squares fit of log X(t) = log C - sigma t.
 

@@ -7,7 +7,6 @@ a, so the pressure blocks are exact transposes of each other.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels, mesh as meshmod
 from .errors import MeshDegenerationError
@@ -19,9 +18,9 @@ from .spaces import basis_values
 class FluidOperator:
     """Implicit-Euler step blocks on the full fluid spaces.
 
-    A = M/dt + viscosity K(a a^T) acts on velocity; B is the weak
-    divergence row tr(a Dv); the momentum equation carries -B^T on the
-    pressure.  Interface coupling slots are left to the coupling module.
+    M/dt + viscosity K(a a^T) acts on velocity; B is the weak divergence row
+    tr(a Dv); the momentum equation carries -B^T on the pressure.  The
+    coupling module places the blocks in the coupled tangent.
     """
 
     def __init__(self, M, K, B, dt, viscosity):
@@ -30,7 +29,6 @@ class FluidOperator:
         self.B = B
         self.dt = dt
         self.viscosity = viscosity
-        self.A = M / dt + viscosity * K
 
 
 def viscous_matrix(space, aaT):
@@ -38,7 +36,7 @@ def viscous_matrix(space, aaT):
     elems = kernels.visc_elements(
         np.ascontiguousarray(aaT), np.ascontiguousarray(space.gradq), space.wdet
     )
-    return space.scatter_matrix(space.component_blocks(elems))
+    return space.scatter_matrix(elems)
 
 
 def divergence_matrix(vspace, pspace, a):
@@ -48,14 +46,7 @@ def divergence_matrix(vspace, pspace, a):
         np.ascontiguousarray(a), np.ascontiguousarray(vspace.gradq), valp, vspace.wdet
     )
     nc, nlocp, nloca, d = elems.shape
-    rows = np.repeat(pspace.cell_dofs[:, :, None], nloca * d, axis=2).ravel()
-    cols = np.broadcast_to(
-        vspace.cell_vdofs[:, None, :], (nc, nlocp, nloca * d)
-    ).ravel()
-    return sp.coo_matrix(
-        (elems.reshape(nc, nlocp, nloca * d).ravel(), (rows, cols)),
-        shape=(pspace.nscalar, vspace.ndof),
-    ).tocsr()
+    return pspace.scatter_matrix(elems.reshape(nc, nlocp, nloca * d), vspace)
 
 
 def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace, mass=None):

@@ -92,13 +92,6 @@ def advance_flow_map(state, v, dt):
     return KinematicState(state.space, state.interface, state.eta + dt * np.asarray(v), state.time + dt)
 
 
-def a_time_derivative(a, grad_v):
-    """Evolution-law right side -a Dv a (diagnostic cross-check)."""
-    a = np.asarray(a, dtype=float)
-    grad_v = np.asarray(grad_v, dtype=float)
-    return -np.einsum("...ij,...jk,...kl->...il", a, grad_v, a)
-
-
 def _min_eig_sym(M):
     d = M.shape[-1]
     if d == 2:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-GAUSS5_NODES = (GAUSS5_NODES + 1) / 2
-GAUSS5_WEIGHTS = GAUSS5_WEIGHTS / 2
+# 2-point Gauss-Legendre rule on [0, 1]: exact for cubics in s
+GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 KINDS = {"linear-isotropic": 0, "saint-venant-kirchhoff": 1}
 
@@ -198,60 +198,35 @@ class MaterialModel:
         return np.broadcast_to(out, shape).copy()
 
     # -- secant (averaged Hessian) forms ----------------------------------------
-
-    def secant_tensor(self, Dw):
-        """N_w = int_0^1 D^2W(I + s Dw) ds by 5-point Gauss (exact here)."""
-        Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        I = np.eye(d)
-        out = 0.0
-        for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
-            out = out + w * self.hessian(I + s * Dw)
-        return out
+    # D^2W is at most quadratic and D^3W affine in F for both models, so the
+    # s-integrals below are exact: 2-point Gauss for the secant forms, and
+    # int_0^1 s D^3W(I + s Dw) ds = 1/2 D^3W(I + 2/3 Dw) for the rates.
 
     def secant_form(self, Dw, G, H):
         """int_0^1 D^2W(I + s Dw)(G, H) ds."""
         Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        I = np.eye(d)
-        out = 0.0
-        for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
-            out = out + w * self.d2_form(I + s * Dw, G, H)
-        return out
+        I = np.eye(Dw.shape[-1])
+        return sum(w * self.d2_form(I + s * Dw, G, H) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
 
     def secant_contract(self, Dw, G):
         """Matrix l_G N_w; reproduces DW(I + Dw) at G = Dw."""
         Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        I = np.eye(d)
-        out = 0.0
-        for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
-            out = out + w * self.d2_contract(I + s * Dw, G)
-        return out
+        I = np.eye(Dw.shape[-1])
+        return sum(w * self.d2_contract(I + s * Dw, G) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
 
     def nprime_form(self, Dw, A, B, C):
         """s-weighted secant rate: int_0^1 s D^3W(I + s Dw)(A, B, C) ds."""
         if not self._svk:
             return np.zeros(np.asarray(A, dtype=float).shape[:-2])
         Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        I = np.eye(d)
-        out = 0.0
-        for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
-            out = out + w * s * self.d3_form(I + s * Dw, A, B, C)
-        return out
+        return 0.5 * self.d3_form(np.eye(Dw.shape[-1]) + (2.0 / 3.0) * Dw, A, B, C)
 
     def nprime_contract(self, Dw, G, H):
         """Matrix-valued s-weighted secant rate int_0^1 s l_H l_G D^3W(I + s Dw) ds."""
         if not self._svk:
             return np.zeros(np.asarray(G, dtype=float).shape)
         Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        I = np.eye(d)
-        out = 0.0
-        for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
-            out = out + w * s * self.d3_contract(I + s * Dw, G, H)
-        return out
+        return 0.5 * self.d3_contract(np.eye(Dw.shape[-1]) + (2.0 / 3.0) * Dw, G, H)
 
     # -- tractions ---------------------------------------------------------------
 

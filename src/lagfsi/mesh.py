@@ -189,16 +189,6 @@ class ReferenceMesh:
         mids = nv + np.searchsorted(keys, ends[..., 0] * nv + ends[..., 1])
         return np.hstack([fv, mids])
 
-    def max_facet_length(self, tag=INTERFACE):
-        idx = self.facet_indices(tag)
-        lengths = []
-        for fi in idx:
-            pts = self.vertices[self.facets[fi]]
-            for a in range(len(pts)):
-                for b in range(a + 1, len(pts)):
-                    lengths.append(np.linalg.norm(pts[a] - pts[b]))
-        return max(lengths)
-
     def contains_point_solid(self, x0):
         x0 = np.asarray(x0, dtype=float)
         for ci in np.flatnonzero(self.region == SOLID):
@@ -420,19 +410,6 @@ def build_annular_mesh(dimension, inner_radius, outer_radius, resolution):
     else:
         verts, cells, region = _build_annulus_3d(inner_radius, outer_radius, resolution)
     return ReferenceMesh(verts, cells, region)
-
-
-def interface_euler_characteristic(mesh):
-    """V - E + F of the closed interface surface (3-D meshes)."""
-    idx = mesh.facet_indices(INTERFACE)
-    faces = mesh.facets[idx]
-    verts = np.unique(faces)
-    edges = set()
-    for f in faces:
-        for a in range(len(f)):
-            for b in range(a + 1, len(f)):
-                edges.add((min(f[a], f[b]), max(f[a], f[b])))
-    return len(verts) - len(edges) + len(faces)
 
 
 def export_vtk(mesh, path, cell_data=None, point_data=None):

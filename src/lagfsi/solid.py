@@ -55,11 +55,6 @@ def solid_residual(model, space, mass, w, w_tt, load=None):
     return R
 
 
-def solid_tangent(model, space, mass, w, dt, beta=NEWMARK_BETA):
-    """Newton matrix (1/(beta dt^2)) M + K(D^2W at Dw + I) + M."""
-    return (1.0 / (beta * dt * dt) + 1.0) * mass + stiffness_matrix(model, space, w)
-
-
 def newmark_rate_factor(dt, beta=NEWMARK_BETA, gamma=NEWMARK_GAMMA):
     """d(w_t)/d(w) of the Newmark closure, gamma / (beta dt)."""
     return gamma / (beta * dt)

@@ -6,10 +6,11 @@ Vector dofs interleave components node-major: dof = scalar_dof * ncomp + comp.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import mesh as meshmod
 from .quadrature import facet_rule, simplex_rule
+from .solid import lu_factor
+from .sparsity import Assembly, element_pattern, expand, expand_diagonal
 
 
 def _bary(dim, pts):
@@ -131,6 +132,7 @@ class FieldSpace:
         self.node_coords = coords
 
         self._build_tables()
+        self._assemblies = {}
 
     def _build_tables(self):
         d = self.dim
@@ -225,14 +227,32 @@ class FieldSpace:
 
     # -- assembly helpers ------------------------------------------------------
 
-    def scatter_matrix(self, elem):
-        """Assemble element matrices (ncr, nloc*ncomp, nloc*ncomp) into CSR."""
-        vd = self.cell_vdofs
-        rows = np.repeat(vd, vd.shape[1], axis=1).ravel()
-        cols = np.tile(vd, (1, vd.shape[1])).ravel()
-        return sp.coo_matrix(
-            (elem.ravel(), (rows, cols)), shape=(self.ndof, self.ndof)
-        ).tocsr()
+    def assembly(self, trial=None, components=False):
+        """The fixed-pattern Assembly of matrices with rows in this space's
+        dofs and columns in those of `trial` (default: this space), a space on
+        the same cells; built once per (trial, components).  With components
+        set, scalar element matrices act on each of the ncomp components alike
+        (pattern: scalar graph (x) I_ncomp)."""
+        trial = self if trial is None else trial
+        key = (None if trial is self else trial, components)  # no reference cycle
+        if key not in self._assemblies:
+            pattern, slot = element_pattern(self.cell_dofs, trial.cell_dofs,
+                                            (self.nscalar, trial.nscalar))
+            if components:
+                asm = Assembly(pattern, slot, *expand_diagonal(pattern, self.ncomp))
+            else:
+                asm = Assembly(*expand(pattern, slot, self.ncomp, trial.ncomp))
+            self._assemblies[key] = asm
+        return self._assemblies[key]
+
+    def scatter_matrix(self, elem, trial=None):
+        """Assemble element matrices into a CSC matrix on the fixed pattern of
+        this space and `trial` (default: this space).  elem is
+        (ncr, nloc*ncomp, nloc_t*ncomp_t), or (ncr, nloc, nloc_t) for scalar
+        element matrices acting on each component alike."""
+        trial = self if trial is None else trial
+        components = self.ncomp > 1 and elem.shape[1:] == (self.nloc, trial.nloc)
+        return self.assembly(trial, components).matrix(elem)
 
     def scatter_vector(self, elem):
         """Assemble element vectors (ncr, nloc*ncomp) into a global vector."""
@@ -240,18 +260,15 @@ class FieldSpace:
         np.add.at(out, self.cell_vdofs.ravel(), elem.ravel())
         return out
 
-    def component_blocks(self, m):
-        """Vector element matrices (ncr, nloc*ncomp, nloc*ncomp) applying the
-        scalar element matrices m (ncr, nloc, nloc) to each component alike."""
-        nc, nloc, k = len(self.cells), self.nloc, self.ncomp
-        elem = np.zeros((nc, nloc, k, nloc, k))
-        for i in range(k):
-            elem[:, :, i, :, i] = m
-        return elem.reshape(nc, nloc * k, nloc * k)
+    def _mass_elements(self):
+        return np.swapaxes(self.wdet[:, :, None] * self.val, 1, 2) @ self.val
 
     def mass_matrix(self):
-        m = np.swapaxes(self.wdet[:, :, None] * self.val, 1, 2) @ self.val
-        return self.scatter_matrix(self.component_blocks(m))
+        return self.scatter_matrix(self._mass_elements())
+
+    def scalar_mass_matrix(self):
+        """The scalar mass M; the vector mass is M (x) I_ncomp."""
+        return self.assembly(components=True).base_matrix(self._mass_elements())
 
     def boundary_scalar_dofs(self, facet_tag):
         """Scalar dofs of all nodes lying on facets with the given tag."""
@@ -336,25 +353,24 @@ class InterfaceData:
 
     def _build_mass(self):
         elem = np.swapaxes(self.wq[:, :, None] * self.fval, 1, 2) @ self.fval
-        rows = np.repeat(self.facet_trace, self.nlocf, axis=1).ravel()
-        cols = np.tile(self.facet_trace, (1, self.nlocf)).ravel()
-        M = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(self.ntr, self.ntr)).tocsr()
-        self.M_scalar = M
-        self.M_vec = sp.kron(M, sp.eye(self.ncomp), format="csr")
-        self._M_vec_solve = sp.linalg.factorized(self.M_vec.tocsc())
+
+        def assembly(row_nodes, nrow):
+            pattern, slot = element_pattern(row_nodes, self.facet_trace, (nrow, self.ntr))
+            return Assembly(pattern, slot, *expand_diagonal(pattern, self.ncomp))
+
+        mass = assembly(self.facet_trace, self.ntr)
+        self.M_vec = mass.matrix(elem)
+        # M_vec = M (x) I: solve its components as columns of one factor of M
+        self._M_lu = lu_factor(mass.base_matrix(elem))
 
         # coupling blocks: rows in volume vector dofs, cols in trace vector dofs
-        Mc = M.tocoo()
-        comp = np.arange(self.ncomp)
+        self.C_fluid = assembly(self.trace_to_fluid[self.facet_trace],
+                                self.fluid_space.nscalar).matrix(elem)
+        self.C_solid = assembly(self.trace_to_solid[self.facet_trace],
+                                self.solid_space.nscalar).matrix(elem)
 
-        def expand(vol_scalar, ndof):
-            rows = (vol_scalar[Mc.row][:, None] * self.ncomp + comp).ravel()
-            cols = (Mc.col[:, None] * self.ncomp + comp).ravel()
-            vals = np.repeat(Mc.data, self.ncomp)
-            return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, self.nlam)).tocsr()
-
-        self.C_fluid = expand(self.trace_to_fluid, self.fluid_space.ndof)
-        self.C_solid = expand(self.trace_to_solid, self.solid_space.ndof)
+    def _M_vec_solve(self, b):
+        return self._M_lu.solve(b.reshape(self.ntr, self.ncomp)).ravel()
 
     # -- evaluation ------------------------------------------------------------
 

@@ -337,3 +337,135 @@ def test_vtk_and_system_dumps(tmp_path, monkeypatch):
     assert first[0].startswith("#")
     r, c, v = first[1].split()
     int(r), int(c), float(v)
+
+
+def _block_step(problem, state, cfg, model):
+    """The coupled tangent (as a function of w) and residual of one step,
+    assembled block by block with sp.bmat and [free][:, free] slicing."""
+    import scipy.sparse as sp
+
+    from lagfsi import fluid as fluidmod, solid as solidmod
+
+    vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
+    dt, free = cfg.dt, problem.free_fluid
+    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps, mass=problem.M_fluid)
+    A_ff = (op.M / dt + op.viscosity * op.K).tocsr()[free][:, free]
+    B_f = op.B.tocsc()[:, free]
+    C_f = iface.C_fluid.tocsr()[free]
+    C_s, M_s, Mg = iface.C_solid, problem.M_solid, iface.M_vec
+    rate = solidmod.newmark_rate_factor(dt)
+    nf, nq, nw = free.sum(), ps.nscalar, ss.ndof
+
+    def tangent(w):
+        A_ww = (1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0) * M_s \
+            + solidmod.stiffness_matrix(model, ss, w)
+        return sp.bmat([[A_ff, -B_f.T, None, C_f], [B_f, None, None, None],
+                        [None, None, A_ww, -C_s], [C_f.T, None, -rate * C_s.T, -cfg.gamma * Mg]],
+                       format="csc")
+
+    def residual(u):
+        vf, q, w, lam = np.split(u, np.cumsum([nf, nq, nw]))
+        wt, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
+        v = np.zeros(vs.ndof)
+        v[free] = vf
+        return np.concatenate([
+            A_ff @ vf - B_f.T @ q + C_f @ lam - (problem.M_fluid @ state.v)[free] / dt,
+            B_f @ vf,
+            solidmod.solid_residual(model, ss, M_s, w, wtt, C_s @ lam),
+            iface.C_fluid.T @ v - C_s.T @ wt - cfg.gamma * (Mg @ lam),
+        ])
+
+    return tangent, residual
+
+
+def _record_newton(monkeypatch):
+    """Record (tangent, residual, u0) of every coupled Newton solve."""
+    from lagfsi import solid as solidmod
+
+    solve = solidmod.newton_solve
+    calls = []
+
+    def recording(residual, tangent, u0, *args, **kwargs):
+        calls.append((tangent, residual, np.array(u0)))
+        return solve(residual, tangent, u0, *args, **kwargs)
+
+    monkeypatch.setattr(solidmod, "newton_solve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dim,res,gamma", [(2, 5, 0.0), (2, 5, 1.0), (3, 4, 1.0)])
+def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
+    # the fixed-pattern tangent and its affine residual rows against the
+    # sp.bmat assembly of the block matrices, at t = 0 and after 3 steps
+    cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=gamma)
+    model = cfg.make_material()
+    problem = CoupledProblem(cfg.make_mesh(), model)
+    ccfg = cfg.coupling_config()
+    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    calls = _record_newton(monkeypatch)
+    nf, nq, nw, _ = problem.tangent.sizes
+    for k in range(4):
+        tangent, residual = _block_step(problem, state, ccfg, model)
+        new = coupled_step(state, ccfg, model, k + 1)
+        J_fn, R_fn, u0 = calls[-1]
+        rng = np.random.default_rng(k)
+        for u in (u0, u0 + 1e-3 * rng.standard_normal(len(u0))):
+            J, ref = J_fn(u), tangent(u[nf + nq:nf + nq + nw])
+            assert J.shape == ref.shape
+            assert abs(J - ref).max() <= 1e-14 * np.abs(J.data).max()
+            R, R_ref = R_fn(u), residual(u)
+            assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+        if k in (0, 3):
+            assert J.nnz == (35478 if dim == 2 else 390027)
+        state = new
+
+
+def test_tangents_share_one_pattern(monkeypatch):
+    # every tangent of a run wraps its data on the same index arrays
+    calls = _record_newton(monkeypatch)
+    tangents = []
+    from lagfsi import solid as solidmod
+
+    recording = solidmod.newton_solve
+
+    def keep_tangents(residual, tangent, u0, *args, **kwargs):
+        def kept(u):
+            J = tangent(u)
+            tangents.append(J)
+            return J
+
+        return recording(residual, kept, u0, *args, **kwargs)
+
+    monkeypatch.setattr(solidmod, "newton_solve", keep_tangents)
+    _small_run(gamma=0.0, dt=5e-3, t_end=0.1)
+    assert len(calls) == 20 and len(tangents) == 40
+    first = tangents[0]
+    assert first.nnz == 35478
+    for J in tangents[1:]:
+        assert J.nnz == first.nnz
+        assert np.shares_memory(J.indptr, first.indptr)
+        assert np.shares_memory(J.indices, first.indices)
+
+
+def test_half_step_after_full_steps_matches_fresh_problem():
+    # the constant blocks are kept per (dt, gamma): a dt/2 step after steps at
+    # dt must not reuse the dt ones
+    from lagfsi.coupling import CoupledState
+
+    cfg = RunConfig(resolution=5, dt=1e-2, gamma=1.0)
+    model = cfg.make_material()
+    mesh = cfg.make_mesh()
+    problem = CoupledProblem(mesh, model)
+    ccfg = cfg.coupling_config()
+    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    for n in range(3):
+        state = coupled_step(state, ccfg, model, n + 1)
+    half = CouplingConfig(**{**ccfg.__dict__, "dt": ccfg.dt / 2})
+    reused = coupled_step(state, half, model, 4)
+    fresh_problem = CoupledProblem(mesh, model)
+    copy = CoupledState(fresh_problem, state.v, state.q, state.w, state.wt, state.wtt,
+                        state.lam, state.kin, state.time)
+    fresh = coupled_step(copy, half, model, 4)
+    for name in ("v", "q", "w", "lam"):
+        a, b = getattr(reused, name), getattr(fresh, name)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name

@@ -9,7 +9,7 @@ from lagfsi.diagnostics import (
     CSV_COLUMNS, RadialMultiplier, ScalarField, TrajectoryRecorder,
     backward_difference, coefficient_rate_terms, compute_report,
     energy_identity_residual, fit_decay_rate, ledger_remainder,
-    multiplier_identity_residual, perturbation_integral_R1, remainder, write_csv,
+    multiplier_identity_residual, remainder, write_csv,
 )
 from lagfsi.errors import FitDomainError
 from lagfsi.kinematics import KinematicState
@@ -22,6 +22,22 @@ from lagfsi.solid import NEWMARK_BETA, NEWMARK_GAMMA, stiffness_matrix
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
+
+
+def perturbation_integral_R1(reports, window=None):
+    """Time integral of the coefficient-rate perturbation pairing
+    (trapezoidal over reports): -<d_t(a a^T) Dv, Dv_t> + <a_t q, Dv_t>
+    - <a_t q_t, Dv>, accumulated over the window."""
+    ts = np.array([r.t for r in reports])
+    gs = np.array([r.integrands.get("r1_term", np.nan) for r in reports], dtype=float)
+    valid = ~np.isnan(gs)
+    if window is not None:
+        valid &= (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
+    idx = np.flatnonzero(valid)
+    if len(idx) < 2:
+        return np.nan
+    sl = slice(idx[0], idx[-1] + 1)
+    return float(np.trapezoid(gs[sl], ts[sl]))
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,17 @@ import pytest
 
 from lagfsi.errors import MeshDegenerationError
 from lagfsi.kinematics import (
-    KinematicState, a_time_derivative, advance_flow_map, kinematic_bounds_report,
+    KinematicState, advance_flow_map, kinematic_bounds_report,
 )
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
 from lagfsi.spaces import FieldSpace, InterfaceData
+
+
+def a_time_derivative(a, grad_v):
+    """Evolution-law right side -a Dv a (diagnostic cross-check)."""
+    a = np.asarray(a, dtype=float)
+    grad_v = np.asarray(grad_v, dtype=float)
+    return -np.einsum("...ij,...jk,...kl->...il", a, grad_v, a)
 
 
 @pytest.fixture(scope="module")

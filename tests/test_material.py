@@ -5,12 +5,30 @@ import numpy as np
 import pytest
 
 from lagfsi.errors import ConfigError
-from lagfsi.material import (
-    GAUSS5_NODES, make_material, remainder_bracket, stress_rates,
-)
+from lagfsi.material import GAUSS2_NODES, make_material, remainder_bracket, stress_rates
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
+
+# 5-point Gauss-Legendre on [0, 1]: the reference s-quadrature of the
+# secant forms, exact beyond their polynomial degree in s
+GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+GAUSS5_NODES = (GAUSS5_NODES + 1) / 2
+GAUSS5_WEIGHTS = GAUSS5_WEIGHTS / 2
+
+
+def gauss5(f):
+    """int_0^1 f(s) ds by the 5-point rule."""
+    out = 0.0
+    for s, w in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
+        out = out + w * f(s)
+    return out
+
+
+def secant_tensor(mdl, Dw):
+    """N_w = int_0^1 D^2W(I + s Dw) ds by 5-point Gauss (exact here)."""
+    I = np.eye(Dw.shape[-1])
+    return gauss5(lambda s: mdl.hessian(I + s * Dw))
 
 
 def test_energy_density_values():
@@ -91,7 +109,7 @@ def test_higher_derivative_structure():
 def test_secant_tensor():
     rng = np.random.default_rng(3)
     mdl = make_material(SVK, 1.1, 0.9)
-    assert np.allclose(mdl.secant_tensor(np.zeros((2, 2))), mdl.hessian(np.eye(2)), atol=1e-14)
+    assert np.allclose(secant_tensor(mdl, np.zeros((2, 2))), mdl.hessian(np.eye(2)), atol=1e-14)
     Dw = 0.2 * rng.standard_normal((2, 2))
     # independent s-integration: Simpson is exact for the quadratic integrand
     simpson = (
@@ -99,7 +117,7 @@ def test_secant_tensor():
         + 4 * mdl.hessian(np.eye(2) + 0.5 * Dw)
         + mdl.hessian(np.eye(2) + Dw)
     ) / 6
-    assert np.abs(mdl.secant_tensor(Dw) - simpson).max() <= 1e-12
+    assert np.abs(secant_tensor(mdl, Dw) - simpson).max() <= 1e-12
 
 
 def test_secant_fundamental_theorem():
@@ -341,3 +359,24 @@ def test_model_validation():
 
 def test_gauss5_nodes_cover_unit_interval():
     assert GAUSS5_NODES.min() > 0 and GAUSS5_NODES.max() < 1
+    assert GAUSS2_NODES.min() > 0 and GAUSS2_NODES.max() < 1
+
+
+@pytest.mark.parametrize("kind", [SVK, LIN])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_s_quadrature_matches_five_point_loops(kind, d):
+    # the 2-point secant forms and the closed-form s-weighted rates against
+    # the 5-point loops they replace, on a batch of quadrature-point data
+    rng = np.random.default_rng(8)
+    mdl = make_material(kind, 1.3, 0.7)
+    I = np.eye(d)
+    Dw, A, B, C = (0.3 * rng.standard_normal((40, d, d)) for _ in range(4))
+    pairs = [
+        (mdl.secant_form(Dw, A, B), gauss5(lambda s: mdl.d2_form(I + s * Dw, A, B))),
+        (mdl.secant_contract(Dw, A), gauss5(lambda s: mdl.d2_contract(I + s * Dw, A))),
+        (mdl.nprime_form(Dw, A, B, C), gauss5(lambda s: s * mdl.d3_form(I + s * Dw, A, B, C))),
+        (mdl.nprime_contract(Dw, A, B), gauss5(lambda s: s * mdl.d3_contract(I + s * Dw, A, B))),
+    ]
+    for new, ref in pairs:
+        assert np.shape(new) == np.shape(ref)
+        assert np.abs(new - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1e-300)

@@ -6,13 +6,37 @@ import pytest
 from lagfsi.errors import ConfigError, PreconditionError, UnsupportedDimensionError
 from lagfsi.mesh import (
     FLUID, INTERFACE, OUTER, SOLID,
-    build_annular_mesh, export_vtk, interface_euler_characteristic,
+    build_annular_mesh, export_vtk,
     star_shape_margin, surface_integral,
 )
 from lagfsi.quadrature import facet_rule, simplex_rule
 from lagfsi.spaces import FieldSpace
 
 RI, RO = 0.4, 1.0
+
+
+def max_facet_length(mesh, tag=INTERFACE):
+    idx = mesh.facet_indices(tag)
+    lengths = []
+    for fi in idx:
+        pts = mesh.vertices[mesh.facets[fi]]
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                lengths.append(np.linalg.norm(pts[a] - pts[b]))
+    return max(lengths)
+
+
+def interface_euler_characteristic(mesh):
+    """V - E + F of the closed interface surface (3-D meshes)."""
+    idx = mesh.facet_indices(INTERFACE)
+    faces = mesh.facets[idx]
+    verts = np.unique(faces)
+    edges = set()
+    for f in faces:
+        for a in range(len(f)):
+            for b in range(a + 1, len(f)):
+                edges.add((min(f[a], f[b]), max(f[a], f[b])))
+    return len(verts) - len(edges) + len(faces)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +81,7 @@ def test_region_areas(mesh2d):
 
 
 def test_interface_midpoints_on_circle(mesh2d):
-    h = mesh2d.max_facet_length(INTERFACE)
+    h = max_facet_length(mesh2d, INTERFACE)
     for fi in mesh2d.facet_indices(INTERFACE):
         mid = mesh2d.vertices[mesh2d.facets[fi]].mean(axis=0)
         assert abs(np.linalg.norm(mid) - RI) <= h * h
@@ -69,7 +93,7 @@ def test_euler_characteristic_3d():
 
 
 def test_star_shape_margin_center(mesh2d):
-    h = mesh2d.max_facet_length(INTERFACE)
+    h = max_facet_length(mesh2d, INTERFACE)
     margin = star_shape_margin(mesh2d, [0.0, 0.0])
     assert abs(margin - RI) <= h * h
 
