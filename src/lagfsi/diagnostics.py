@@ -25,6 +25,8 @@ CSV_COLUMNS = [
     "res_j0", "res_j1", "res_j2_soft", "res_j3_soft",
     "iface_vel", "iface_stress", "min_ellip", "dist_aaT", "det_min",
 ]
+LEVEL_ENERGIES = ("V0", "V1", "V2", "V3")
+RESIDUAL_COLUMNS = ("res_j0", "res_j1", "res_j2_soft", "res_j3_soft")
 
 
 def backward_difference(values, j, dt):
@@ -84,9 +86,10 @@ def _visc_form(space, aaT, Dv):
 def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     """The three volume pairings of the coefficient-rate perturbation:
     <d_t(a a^T) Dv, Dv_t>, <a_t q, Dv_t> and <a_t q_t, Dv>."""
+    a_tT = np.swapaxes(a_t, -1, -2)
     ra = space.integrate(_aaT_pairing(aaT_t, Dv, Dv1))
-    rb = space.integrate(q * np.einsum("cqki,cqik->cq", a_t, Dv1))
-    rc = space.integrate(q_t * np.einsum("cqki,cqik->cq", a_t, Dv))
+    rb = space.integrate(q * (a_tT * Dv1).sum(axis=(-2, -1)))
+    rc = space.integrate(q_t * (a_tT * Dv).sum(axis=(-2, -1)))
     return ra, rb, rc
 
 
@@ -183,8 +186,8 @@ def compute_report(problem, model, cfg, states):
         rvec, r1_nu = remainder(states, model, 1, dt, (Dw, rates, Dw_f, rates_f))
         g["r1_vol_w3"] = float(rvec @ w3)
         v2_f = iface.fluid_qp(v2)
-        g["r1_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r1_nu, v2_f))
-        g["r1_surf_lam"] = iface.integrate(np.einsum("kqi,kqi->kq", r1_nu, trac2))
+        g["r1_surf_v"] = iface.integrate((r1_nu * v2_f).sum(axis=-1))
+        g["r1_surf_lam"] = iface.integrate((r1_nu * trac2).sum(axis=-1))
 
     if w4 is not None and v3 is not None:
         Dw3_f = iface.solid_grad_qp(w3)
@@ -197,8 +200,8 @@ def compute_report(problem, model, cfg, states):
                                  (Dw, rates + [Dw3], Dw_f, rates_f + [Dw3_f]))
         g["r2_vol_w4"] = float(rvec2 @ w4)
         v3_f = iface.fluid_qp(v3)
-        g["r2_surf_v"] = iface.integrate(np.einsum("kqi,kqi->kq", r2_nu, v3_f))
-        g["r2_surf_lam"] = iface.integrate(np.einsum("kqi,kqi->kq", r2_nu, trac3))
+        g["r2_surf_v"] = iface.integrate((r2_nu * v3_f).sum(axis=-1))
+        g["r2_surf_lam"] = iface.integrate((r2_nu * trac3).sum(axis=-1))
 
     # -- totals ------------------------------------------------------------------
     rep.Q = rep.V0 + rep.V1 + rep.V2 + rep.V3
@@ -290,6 +293,33 @@ def interface_residual_values(state, model, gamma):
     return float(vel), float(stress)
 
 
+class _RunningBalance:
+    """The level-j balance residual of the reports added so far, updated in
+    O(1) a report: the value energy_identity_residual(reports, gamma, j)
+    gives without a window."""
+
+    def __init__(self, j):
+        self.j = j
+        self.V_first = None     # V_j of the first report with every level-j piece
+        self.t = self.g = None  # time and integrand of the latest report since then
+        self.integral = 0.0     # trapezoid from the first valid report to the latest
+        self.value = nan        # the residual at the latest valid report
+
+    def add(self, rep, gamma):
+        V = getattr(rep, LEVEL_ENERGIES[self.j])
+        g = _level_integrand(rep, gamma, self.j)
+        valid = not (np.isnan(V) or np.isnan(g))
+        if self.V_first is None:
+            if valid:
+                self.V_first, self.t, self.g = V, rep.t, g
+            return self.value
+        self.integral += (rep.t - self.t) * (g + self.g) / 2.0
+        self.t, self.g = rep.t, g
+        if valid:
+            self.value = (V - self.V_first) + self.integral
+        return self.value
+
+
 class TrajectoryRecorder:
     """Per-step reports plus running trapezoidal balance residuals."""
 
@@ -298,12 +328,13 @@ class TrajectoryRecorder:
         self.model = model
         self.cfg = cfg
         self.reports = []
+        self._balances = [_RunningBalance(j) for j in range(4)]
 
     def add(self, state):
         rep = compute_report(self.problem, self.model, self.cfg, state.past())
         self.reports.append(rep)
-        for j, res_name in enumerate(["res_j0", "res_j1", "res_j2_soft", "res_j3_soft"]):
-            setattr(rep, res_name, energy_identity_residual(self.reports, self.cfg.gamma, j))
+        for name, balance in zip(RESIDUAL_COLUMNS, self._balances):
+            setattr(rep, name, balance.add(rep, self.cfg.gamma))
         return rep
 
 
@@ -333,11 +364,11 @@ def energy_identity_residual(reports, gamma, j, window=None):
     by trapezoidal quadrature over the stored reports.
 
     Without an explicit window the residual runs from the first report with
-    all level-j pieces available to the last.
+    all level-j pieces available to the last; TrajectoryRecorder keeps the
+    same value per report with running sums.
     """
-    Vname = ["V0", "V1", "V2", "V3"][j]
     ts = np.array([r.t for r in reports])
-    Vs = np.array([getattr(r, Vname) for r in reports], dtype=float)
+    Vs = np.array([getattr(r, LEVEL_ENERGIES[j]) for r in reports], dtype=float)
     gs = np.array([_level_integrand(r, gamma, j) for r in reports], dtype=float)
     valid = ~(np.isnan(Vs) | np.isnan(gs))
     if window is not None:

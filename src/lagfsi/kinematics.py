@@ -1,10 +1,11 @@
 """Flow map on the fluid reference domain and its inverse-gradient field.
 
-The position map eta lives in the fluid velocity space; its gradient is
-differentiated exactly from the piecewise-quadratic field, and the matrix
-field a = (D eta)^{-1} is inverted pointwise at every volume and interface
-quadrature point (never projected).  The evolution law a_t = -a Dv a is
-kept as a diagnostic cross-check only.
+The position map eta is kept as its displacement eta - x in the fluid
+velocity space; D eta is I plus the exact gradient of that
+piecewise-quadratic field, and the matrix field a = (D eta)^{-1} is
+inverted pointwise at every volume and interface quadrature point (never
+projected).  The evolution law a_t = -a Dv a is kept as a diagnostic
+cross-check only.
 """
 
 import logging
@@ -13,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import MeshDegenerationError
+from .spaces import _grad_at
 
 log = logging.getLogger(__name__)
 
@@ -30,20 +32,31 @@ class BoundsReport:
         assert self.min_ellipticity >= 1 - self.sup_dist_aaT_identity - 1e-12
 
 
+def _grad_map(grads, disp_cells):
+    """D eta = I + D(eta - x) at the points of `grads` (n, nq, nloc, d) from
+    the displacement's element values (n, nloc, d).  The basis gradients sum
+    to zero, so each element's values are taken relative to its first node:
+    a translation then has D(eta - x) = 0 exactly."""
+    rel = disp_cells - disp_cells[:, :1]
+    return _grad_at(grads, rel) + np.eye(rel.shape[-1])
+
+
 class KinematicState:
     """Snapshot of (eta, D eta, a) at one time, sampled at quadrature points.
 
-    Immutable after construction; `advance` returns a new state.
+    The state is the displacement eta - x; D eta is I plus its gradient, so
+    no O(1) identity part is differentiated and cancelled.  Immutable after
+    construction; `advance_flow_map` returns a new state.
     """
 
-    def __init__(self, space, interface, eta, time):
+    def __init__(self, space, interface, displacement, time):
         self.space = space
         self.interface = interface
-        self.eta = np.asarray(eta, dtype=float)
+        self.displacement = np.asarray(displacement, dtype=float)
         self.time = float(time)
-        d = space.dim
-        grad = space.grad_qp(self.eta)                      # (nc, nq, d, d)
-        a, det = kernels.inv_det(np.ascontiguousarray(grad))
+        nodal = self.displacement.reshape(space.nscalar, space.dim)
+        grad = _grad_map(space.gradq, nodal[space.cell_dofs])      # (nc, nq, d, d)
+        a, det = kernels.inv_det(grad)
         if det.min() <= 0:
             raise MeshDegenerationError(
                 f"det(D eta) <= 0 at t={time}: min {det.min():.3e}"
@@ -52,8 +65,8 @@ class KinematicState:
         self.a = a
         self.det = det
         self.aaT = a @ np.swapaxes(a, -1, -2)
-        gf = interface.fluid_grad_qp(self.eta)              # (nfac, nqf, d, d)
-        af, detf = kernels.inv_det(np.ascontiguousarray(gf))
+        gf = _grad_map(interface.fgrad, nodal[interface.fluid_cell_dofs])  # (nfac, nqf, d, d)
+        af, detf = kernels.inv_det(gf)
         if detf.min() <= 0:
             raise MeshDegenerationError(
                 f"det(D eta) <= 0 on the interface at t={time}"
@@ -65,23 +78,13 @@ class KinematicState:
 
     @classmethod
     def initial(cls, space, interface):
-        """Identity map: a = I and eta(x) = x hold exactly, so the cached
-        point values are set to their exact initial values rather than
-        differenced from the interpolant."""
-        eta = space.interpolate(lambda x: x)
-        state = cls(space, interface, eta, 0.0)
-        d = space.dim
-        I = np.eye(d)
-        for name in ("grad_eta", "a", "aaT"):
-            getattr(state, name)[:] = I
-        for name in ("grad_eta_facet", "a_facet", "aaT_facet"):
-            getattr(state, name)[:] = I
-        state.det[:] = 1.0
-        state.det_facet[:] = 1.0
-        return state
+        """Identity map: zero displacement, so D eta = a = a a^T = I and
+        det = 1 exactly."""
+        return cls(space, interface, space.zeros(), 0.0)
 
-    def displacement(self):
-        return self.eta - self.space.interpolate(lambda x: x)
+    @property
+    def eta(self):
+        return self.space.node_coords.reshape(-1) + self.displacement
 
 
 def advance_flow_map(state, v, dt):
@@ -89,7 +92,8 @@ def advance_flow_map(state, v, dt):
     end-of-step velocity; a is recomputed by exact pointwise inversion."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return KinematicState(state.space, state.interface, state.eta + dt * np.asarray(v), state.time + dt)
+    return KinematicState(state.space, state.interface,
+                          state.displacement + dt * np.asarray(v), state.time + dt)
 
 
 def _min_eig_sym(M):

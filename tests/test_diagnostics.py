@@ -6,10 +6,10 @@ import pytest
 from lagfsi.config import RunConfig
 from lagfsi.coupling import CoupledProblem, CoupledState, CouplingConfig, run_simulation
 from lagfsi.diagnostics import (
-    CSV_COLUMNS, RadialMultiplier, ScalarField, TrajectoryRecorder,
-    backward_difference, coefficient_rate_terms, compute_report,
-    energy_identity_residual, fit_decay_rate, ledger_remainder,
-    multiplier_identity_residual, remainder, write_csv,
+    CSV_COLUMNS, LEVEL_ENERGIES, RESIDUAL_COLUMNS, EnergyReport, RadialMultiplier, ScalarField,
+    TrajectoryRecorder, _level_integrand, _RunningBalance, backward_difference,
+    coefficient_rate_terms, compute_report, energy_identity_residual, fit_decay_rate,
+    ledger_remainder, multiplier_identity_residual, remainder, write_csv,
 )
 from lagfsi.errors import FitDomainError
 from lagfsi.kinematics import KinematicState
@@ -45,6 +45,16 @@ def problem():
     mesh = build_annular_mesh(2, 0.4, 1.0, 5)
     model = make_material(SVK, 1.0, 1.0)
     return CoupledProblem(mesh, model), model
+
+
+@pytest.fixture(scope="module")
+def run60():
+    # 2-D res 5, gamma = 1, 60 steps: every level's balance is defined
+    cfg = RunConfig(resolution=5, dt=5e-3, t_end=0.3, gamma=1.0)
+    model = cfg.make_material()
+    reports, final = run_simulation(cfg.coupling_config(), cfg.make_initial_data(), model,
+                                    cfg.make_mesh())
+    return cfg, model, reports, final
 
 
 def _zero_state(problem, model):
@@ -340,3 +350,81 @@ def test_csv_roundtrip(tmp_path):
     row = lines[1].split(",")
     assert len(row) == len(CSV_COLUMNS)
     assert float(row[0]) == 0.0
+
+
+def test_running_balances_match_trapezoid_reference(run60):
+    # the recorder's O(1) running residuals against the full trapezoid over
+    # the reports so far; they sum the same terms in another order, so they
+    # differ by round-off: at most 64 eps times the sum of |V_j| at both ends
+    # and the |trapezoid terms| (61 reports)
+    cfg, _, reports, _ = run60
+    eps = np.finfo(float).eps
+    for j, name in enumerate(RESIDUAL_COLUMNS):
+        ts = np.array([r.t for r in reports])
+        gs = np.array([_level_integrand(r, cfg.gamma, j) for r in reports])
+        Vs = np.array([getattr(r, LEVEL_ENERGIES[j]) for r in reports])
+        defined = 0
+        for k, rep in enumerate(reports):
+            ref = energy_identity_residual(reports[:k + 1], cfg.gamma, j)
+            value = getattr(rep, name)
+            if np.isnan(ref):
+                assert np.isnan(value), (name, k)
+                continue
+            valid = np.flatnonzero(~np.isnan(gs[:k + 1] + Vs[:k + 1]))
+            sl = slice(valid[0], k + 1)
+            scale = (abs(Vs[valid[0]]) + abs(Vs[k])
+                     + np.sum(np.abs(np.diff(ts[sl]) * (gs[sl][1:] + gs[sl][:-1]) / 2)))
+            assert abs(value - ref) <= 64 * eps * scale, (name, k, value, ref)
+            defined += 1
+        assert defined >= 55 - j
+
+
+def test_running_balance_matches_reference_across_a_gap():
+    # a report missing a level-0 piece between valid ones: the running value
+    # repeats the last residual there and then, like the trapezoid reference
+    # over the stored reports, integrates through the missing integrand
+    def report(t, V0, nw2):
+        rep = EnergyReport(t)
+        rep.V0 = V0
+        rep.integrands.update(d0_visc=1.0, d0_bnd=0.5, nw2=nw2)
+        return rep
+
+    for gap_V0, gap_nw2 in ((np.nan, 0.25), (2.0, np.nan)):
+        reports = [report(0.0, np.nan, 0.0), report(0.1, 3.0, 0.0), report(0.2, 2.5, 0.5),
+                   report(0.3, gap_V0, gap_nw2), report(0.4, 1.5, 0.75), report(0.5, 1.0, 0.5)]
+        balance = _RunningBalance(0)
+        for k, rep in enumerate(reports):
+            ref = energy_identity_residual(reports[:k + 1], 1.0, 0)
+            value = balance.add(rep, 1.0)
+            assert (np.isnan(value) and np.isnan(ref)) or abs(value - ref) <= 1e-15, (k, value, ref)
+
+
+def test_report_contractions_match_einsum(problem, run60):
+    # the elementwise contractions of the report against their einsum forms
+    prob, _ = problem
+    vs = prob.vspace
+    rng = np.random.default_rng(3)
+    nc, nq = vs.xq.shape[:2]
+    aaT_t, a_t, Dv, Dv1 = rng.standard_normal((4, nc, nq, 2, 2))
+    q, q_t = rng.standard_normal((2, nc, nq))
+    ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, q, q_t, Dv, Dv1)
+    assert rb == pytest.approx(vs.integrate(q * np.einsum("cqki,cqik->cq", a_t, Dv1)),
+                               rel=1e-13, abs=0)
+    assert rc == pytest.approx(vs.integrate(q_t * np.einsum("cqki,cqik->cq", a_t, Dv)),
+                               rel=1e-13, abs=0)
+
+    cfg, model, _, final = run60
+    states = final.past()
+    st, dt = states[-1], cfg.dt
+    iface = st.problem.interface
+    g = compute_report(st.problem, model, cfg.coupling_config(), states).integrands
+    normal = iface.normal[:, None, :]
+    Dw_f = iface.solid_grad_qp(st.w)
+    w3 = backward_difference([s.wtt for s in states], 1, dt)
+    for j, w_top in ((1, st.wtt), (2, w3)):
+        _, r_nu = remainder(states, model, j, dt)
+        v_top = backward_difference([s.v for s in states], j + 1, dt)
+        trac = model.linearized_traction(Dw_f, iface.solid_grad_qp(w_top), normal)
+        for key, other in ((f"r{j}_surf_v", iface.fluid_qp(v_top)), (f"r{j}_surf_lam", trac)):
+            ref = iface.integrate(np.einsum("kqi,kqi->kq", r_nu, other))
+            assert g[key] == pytest.approx(ref, rel=1e-12, abs=0), key

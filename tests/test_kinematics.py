@@ -39,6 +39,24 @@ def test_initial_state_exact(setup):
     assert rep.det_min == 1.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_translation_and_identity_are_exact(dim):
+    # the general constructor differentiates the displacement eta - x, so the
+    # identity map and a rigid translation give D eta = a = a a^T = I exactly
+    mesh = build_annular_mesh(dim, 0.4, 1.0, 6 if dim == 2 else 4)
+    vs = FieldSpace(mesh, FLUID, 2, dim)
+    iface = InterfaceData(mesh, vs, FieldSpace(mesh, SOLID, 2, dim), FieldSpace(mesh, FLUID, 1, 1))
+    c = np.array([0.3, -0.2, 0.1])[:dim]
+    for disp in (vs.zeros(), vs.interpolate(lambda x: c)):
+        kin = KinematicState(vs, iface, disp, 0.7)
+        assert np.array_equal(kin.eta, vs.interpolate(lambda x: x) + disp)
+        rep = kinematic_bounds_report(kin)
+        assert rep.sup_dist_aaT_identity == 0.0
+        assert rep.sup_dist_a_identity == 0.0
+        assert rep.min_ellipticity == 1.0
+        assert rep.det_min == 1.0
+
+
 def test_advance_zero_velocity(setup):
     _, vs, iface = setup
     kin = KinematicState.initial(vs, iface)

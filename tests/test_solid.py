@@ -5,13 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from lagfsi.coupling import CoupledProblem
+from lagfsi import fluid
+from lagfsi.config import RunConfig
+from lagfsi.coupling import CoupledProblem, initial_state
 from lagfsi.errors import SolverError
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 from lagfsi.solid import (
-    NEWMARK_BETA, NEWMARK_GAMMA, FactorStore, internal_force, lu_factor, newmark_update,
-    newton_solve, solid_residual, stiffness_matrix,
+    LU_ORDERING, LU_PIVOT_THRESHOLD, NEWMARK_BETA, NEWMARK_GAMMA, FactorStore, internal_force,
+    lu_factor, newmark_update, newton_solve, solid_residual, stiffness_matrix,
 )
 
 from oracle_fem import DenseStep, make_tiny_mesh
@@ -252,6 +254,37 @@ def test_newton_failure_leaves_no_factor():
     with pytest.raises(SolverError):
         newton_solve(residual, tangent, np.zeros(n), tol=1e-14, maxit=1, store=store, key="dt")
     assert store.lu is None and store.key is None
+
+
+def _first_step_tangent(dim, res):
+    """The coupled tangent of the first Newton iterate of a run's first step."""
+    cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=1.0)
+    model = cfg.make_material()
+    problem = CoupledProblem(cfg.make_mesh(), model)
+    ccfg = cfg.coupling_config()
+    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    op = fluid.assemble_fluid_operator(state.kin, ccfg.dt, ccfg.viscosity, problem.vspace,
+                                       problem.pspace, mass=problem.M_fluid)
+    data = problem.tangent.step_data(op, ccfg.gamma)
+    return problem.tangent.matrix(data, stiffness_matrix(model, problem.sspace, state.w))
+
+
+@pytest.mark.parametrize("dim,res,fill_excess", [(2, 5, 0.0), (3, 4, 1e-5)])
+def test_lu_factor_matches_default_relaxation(dim, res, fill_excess):
+    # lu_factor keeps fundamental supernodes only; the reference factor uses
+    # SuperLU's default supernode relaxation on the same ordering and pivot
+    # threshold.  Its pivot sequence differs slightly: on 3-D res 4 the fill
+    # is 9 entries (2e-6) above the reference's 4.16 M, on 2-D res 5 it is
+    # below the reference's.
+    J = _first_step_tangent(dim, res).tocsc()
+    b = np.random.default_rng(dim).standard_normal(J.shape[0])
+    lu = lu_factor(J)
+    ref = spla.splu(J, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESHOLD)
+    x, x_ref = lu.solve(b), ref.solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+    fill, fill_ref = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
+    assert fill <= fill_ref * (1 + fill_excess)
 
 
 def test_newton_singular_tangent_raises():
