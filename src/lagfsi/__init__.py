@@ -13,13 +13,13 @@ from .coupling import CoupledProblem, CouplingConfig, coupled_step, run_simulati
 from .diagnostics import fit_decay_rate
 from .kernels import BACKEND as kernel_backend
 from .material import MaterialModel, make_material
-from .mesh import ReferenceMesh, build_annular_mesh, star_shape_margin, surface_integral
+from .mesh import ReferenceMesh, build_annular_mesh, star_shape_margin
 
 __all__ = [
     "RunConfig", "parse_config",
     "CoupledProblem", "CouplingConfig", "coupled_step", "run_simulation",
     "fit_decay_rate", "MaterialModel", "make_material",
-    "ReferenceMesh", "build_annular_mesh", "star_shape_margin", "surface_integral",
+    "ReferenceMesh", "build_annular_mesh", "star_shape_margin",
     "kernel_backend",
 ]
 

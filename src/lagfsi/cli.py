@@ -12,7 +12,7 @@ import numpy as np
 
 from . import diagnostics, mesh as meshmod
 from .config import parse_config
-from .coupling import CoupledProblem, run_simulation
+from .coupling import run_simulation
 from .diagnostics import fit_decay_rate, multiplier_identity_residual
 from .errors import (
     ConfigError, FitDomainError, MeshDegenerationError, PreconditionError, SolverError,
@@ -144,10 +144,6 @@ def _single_run(cfg, args, gamma=None, dt=None, csv_path=None):
 
 def cmd_run(cfg, args):
     kind = cfg.experiment_kind
-    if kind == "material-check":
-        return cmd_check_material(cfg, args)
-    if kind == "identity-suite":
-        return cmd_check_identities(cfg, args)
     if kind == "single":
         reports, _, ccfg = _single_run(cfg, args)
         _echo_config(cfg, ccfg.csv_path)

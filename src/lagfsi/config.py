@@ -11,7 +11,7 @@ from .errors import ConfigError
 
 _MATERIAL_KINDS = ("saint-venant-kirchhoff", "linear-isotropic")
 _INIT_MODES = ("radial", "swirl")
-_EXPERIMENTS = ("single", "gamma-sweep", "dt-study", "identity-suite", "material-check")
+_EXPERIMENTS = ("single", "gamma-sweep", "dt-study")
 
 
 def _float_list(text):

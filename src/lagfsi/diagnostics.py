@@ -11,6 +11,7 @@ floor at cubic order in the data rather than vanish.
 """
 
 from math import comb, nan
+from sys import intern
 
 import numpy as np
 
@@ -42,24 +43,6 @@ def backward_difference(values, j, dt):
     return out / dt**j
 
 
-def _w_derivative(states, j, dt):
-    if j == 0:
-        return states[-1].w
-    if j == 1:
-        return states[-1].wt
-    if j == 2:
-        return states[-1].wtt
-    return backward_difference([s.wtt for s in states], j - 2, dt)
-
-
-def _v_derivative(states, j, dt):
-    return backward_difference([s.v for s in states], j, dt)
-
-
-def _lam_derivative(states, j, dt):
-    return backward_difference([s.lam for s in states], j, dt)
-
-
 class EnergyReport:
     """All diagnostic quantities at one time instant (CSV row + integrands)."""
 
@@ -68,7 +51,6 @@ class EnergyReport:
         for name in CSV_COLUMNS[1:]:
             setattr(self, name, nan)
         self.integrands = {}
-        self.bounds = None
 
     def row(self):
         return [getattr(self, c) if c != "t" else self.t for c in CSV_COLUMNS]
@@ -93,126 +75,118 @@ def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     return ra, rb, rc
 
 
+def _sq(space, u):
+    """Integral of |u|^2, u the values (c, q, k) or gradients (c, q, k, i) of a
+    field at the space's quadrature points."""
+    u = u.reshape(u.shape[0], u.shape[1], -1)
+    return space.integrate(np.einsum("cqk,cqk->cq", u, u))
+
+
 def compute_report(problem, model, cfg, states):
-    """Build the EnergyReport for the newest state in `states` (oldest first)."""
+    """Build the EnergyReport for the newest state in `states` (oldest first).
+
+    Each time derivative the ring supports, w^(0..4), v^(0..3) and
+    lambda^(1), is built once, and its values, L2 norm and gradient are
+    evaluated once; one loop over the levels j then forms V_j, D_j and the
+    pieces of the level-j balance integrand.
+    """
     st = states[-1]
     dt = cfg.dt
     gamma = cfg.gamma
-    vs, ps, ss = problem.vspace, problem.pspace, problem.sspace
+    vs, ss = problem.vspace, problem.sspace
     iface = problem.interface
-    d = problem.mesh.dimension
-    I = np.eye(d)
+    nu = iface.normal[:, None, :]
     rep = EnergyReport(st.time)
+    g = rep.integrands
 
-    # -- kinematic bounds ------------------------------------------------------
+    # looked up at call time, so that a patched kinematics function is called
     from .kinematics import kinematic_bounds_report
 
     bounds = kinematic_bounds_report(st.kin)
-    rep.bounds = bounds
     rep.min_ellip = bounds.min_ellipticity
     rep.dist_aaT = bounds.sup_dist_aaT_identity
     rep.det_min = bounds.det_min
 
-    # -- level energies --------------------------------------------------------
-    Dw = ss.grad_qp(st.w)
-    Dwt = ss.grad_qp(st.wt)
-    Dwtt = ss.grad_qp(st.wtt)
-    F = Dw + I
-    w3 = _w_derivative(states, 3, dt)
-    w4 = _w_derivative(states, 4, dt)
+    # -- the time derivatives, each evaluated once -------------------------------
+    wtt = [s.wtt for s in states]
+    w = [st.w, st.wt, st.wtt] + [backward_difference(wtt, k, dt) for k in (1, 2)]
+    w = [f for f in w if f is not None]       # w^(k) for k < len(w)
+    v = [backward_difference([s.v for s in states], j, dt) for j in range(4)]
+    v = [f for f in v if f is not None]       # v^(j) for j < len(v)
+    nw = [_sq(ss, ss.eval_qp(f)) for f in w]
+    nv = [_sq(vs, vs.eval_qp(f)) for f in v]
+    Dw = [ss.grad_qp(f) for f in w[:4]]
+    Dw_f = [iface.solid_grad_qp(f) for f in w[:4]]
+    F = Dw[0] + np.eye(problem.mesh.dimension)
 
-    rep.V0e = 0.5 * (
-        ss.l2_norm_sq(st.wt) + ss.l2_norm_sq(st.w)
-        + ss.integrate(model.secant_form(Dw, Dw, Dw))
-    )
-    rep.V0 = rep.V0e + 0.5 * vs.l2_norm_sq(st.v)
-    rep.V1e = 0.5 * (
-        ss.l2_norm_sq(st.wtt) + ss.l2_norm_sq(st.wt)
-        + ss.integrate(model.d2_form(F, Dwt, Dwt))
-    )
-    v1 = _v_derivative(states, 1, dt)
-    v2 = _v_derivative(states, 2, dt)
-    v3 = _v_derivative(states, 3, dt)
-    rep.V1 = rep.V1e + 0.5 * vs.l2_norm_sq(v1) if v1 is not None else nan
-    if w3 is not None:
-        rep.V2e = 0.5 * (
-            ss.l2_norm_sq(w3) + ss.l2_norm_sq(st.wtt)
-            + ss.integrate(model.d2_form(F, Dwtt, Dwtt))
-        )
-        rep.V2 = rep.V2e + 0.5 * vs.l2_norm_sq(v2) if v2 is not None else nan
-    if w4 is not None:
-        Dw3 = ss.grad_qp(w3)
-        rep.V3e = 0.5 * (
-            ss.l2_norm_sq(w4) + ss.l2_norm_sq(w3)
-            + ss.integrate(model.d2_form(F, Dw3, Dw3))
-        )
-        rep.V3 = rep.V3e + 0.5 * vs.l2_norm_sq(v3) if v3 is not None else nan
-
-    # -- dissipation and balance integrands -------------------------------------
+    # -- one pass over the levels ------------------------------------------------
     aaT = st.kin.aaT
-    Dv = vs.grad_qp(st.v)
-    lam_qp = iface.trace_qp(st.lam)
-    g = rep.integrands
-    g["d0_visc"] = _visc_form(vs, aaT, Dv)
-    g["d0_bnd"] = iface.l2_norm_sq(lam_qp)
-    g["nw2"] = 0.5 * ss.integrate(model.nprime_form(Dw, Dwt, Dw, Dw))
-    rep.D0 = g["d0_visc"] + gamma * g["d0_bnd"]
-
-    lam1 = _lam_derivative(states, 1, dt)
-    if v1 is not None and lam1 is not None:
-        Dv1 = vs.grad_qp(v1)
-        g["d1_visc"] = _visc_form(vs, aaT, Dv1)
-        g["d1_bnd"] = iface.l2_norm_sq(iface.trace_qp(lam1))
-        rep.D1 = g["d1_visc"] + gamma * g["d1_bnd"]
-        g["d3w1"] = 0.5 * ss.integrate(model.d3_form(F, Dwt, Dwt, Dwt))
-        # coefficient-rate couplings of the differentiated momentum balance
-        aaT_t = backward_difference([s.kin.aaT for s in states], 1, dt)
-        a_t = backward_difference([s.kin.a for s in states], 1, dt)
-        q_qp = st.q_qp()
-        q_t = backward_difference([s.q_qp() for s in states], 1, dt)
-        ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, q_qp, q_t, Dv, Dv1)
-        g["r1_term"] = -ra + rb - rc
-
-    Dw_f = iface.solid_grad_qp(st.w)
-    Dwtt_f = iface.solid_grad_qp(st.wtt)
-    rates, rates_f = [Dwt, Dwtt], [iface.solid_grad_qp(st.wt), Dwtt_f]
-    if w3 is not None and v2 is not None:
-        trac2 = model.linearized_traction(Dw_f, Dwtt_f, iface.normal[:, None, :])
-        g["d2_visc"] = _visc_form(vs, aaT, vs.grad_qp(v2))
-        g["d2_bnd"] = iface.l2_norm_sq(trac2)
-        rep.D2 = g["d2_visc"] + gamma * g["d2_bnd"]
-        g["d3w2"] = 0.5 * ss.integrate(model.d3_form(F, Dwtt, Dwtt, Dwt))
-        # commutator remainder couplings at level 2
-        rvec, r1_nu = remainder(states, model, 1, dt, (Dw, rates, Dw_f, rates_f))
-        g["r1_vol_w3"] = float(rvec @ w3)
-        v2_f = iface.fluid_qp(v2)
-        g["r1_surf_v"] = iface.integrate((r1_nu * v2_f).sum(axis=-1))
-        g["r1_surf_lam"] = iface.integrate((r1_nu * trac2).sum(axis=-1))
-
-    if w4 is not None and v3 is not None:
-        Dw3_f = iface.solid_grad_qp(w3)
-        trac3 = model.linearized_traction(Dw_f, Dw3_f, iface.normal[:, None, :])
-        g["d3_visc"] = _visc_form(vs, aaT, vs.grad_qp(v3))
-        g["d3_bnd"] = iface.l2_norm_sq(trac3)
-        rep.D3 = g["d3_visc"] + gamma * g["d3_bnd"]
-        g["d3w3"] = 0.5 * ss.integrate(model.d3_form(F, Dw3, Dw3, Dwt))
-        rvec2, r2_nu = remainder(states, model, 2, dt,
-                                 (Dw, rates + [Dw3], Dw_f, rates_f + [Dw3_f]))
-        g["r2_vol_w4"] = float(rvec2 @ w4)
-        v3_f = iface.fluid_qp(v3)
-        g["r2_surf_v"] = iface.integrate((r2_nu * v3_f).sum(axis=-1))
-        g["r2_surf_lam"] = iface.integrate((r2_nu * trac3).sum(axis=-1))
+    gradsq = []
+    Dv_prev = None
+    for j in range(4):
+        if j + 1 < len(w):
+            A = (model.secant_form(Dw[0], Dw[0], Dw[0]) if j == 0
+                 else model.d2_form(F, Dw[j], Dw[j]))
+            Ve = 0.5 * (nw[j + 1] + nw[j] + ss.integrate(A))
+            setattr(rep, f"V{j}e", Ve)
+            setattr(rep, f"V{j}", Ve + 0.5 * nv[j] if j < len(v) else nan)
+        if j >= len(v):
+            break
+        if j < 2:
+            trac = iface.trace_qp(backward_difference([s.lam for s in states], j, dt))
+        else:
+            trac = model.linearized_traction(Dw_f[0], Dw_f[j], nu)
+        Dv = vs.grad_qp(v[j])
+        g[f"d{j}_visc"] = _visc_form(vs, aaT, Dv)
+        g[f"d{j}_bnd"] = iface.l2_norm_sq(trac)
+        setattr(rep, f"D{j}", g[f"d{j}_visc"] + gamma * g[f"d{j}_bnd"])
+        if j < 3:
+            gradsq.append(_sq(vs, Dv))
+        if j == 0:
+            g["nw2"] = 0.5 * ss.integrate(model.nprime_form(Dw[0], Dw[1], Dw[0], Dw[0]))
+        else:
+            g[f"d3w{j}"] = 0.5 * ss.integrate(model.d3_form(F, Dw[j], Dw[j], Dw[1]))
+        if j == 1:
+            # coefficient-rate couplings of the differentiated momentum balance
+            aaT_t = backward_difference([s.kin.aaT for s in states], 1, dt)
+            a_t = backward_difference([s.kin.a for s in states], 1, dt)
+            q_t = backward_difference([s.q_qp() for s in states], 1, dt)
+            ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, st.q_qp(), q_t, Dv_prev, Dv)
+            g["r1_term"] = -ra + rb - rc
+        if j >= 2:
+            # commutator remainder couplings r_{j-1}
+            r = j - 1
+            rvec, r_nu = remainder(states, model, r, dt,
+                                   (Dw[0], Dw[1:j + 1], Dw_f[0], Dw_f[1:j + 1]))
+            g[f"r{r}_vol_w{j + 1}"] = float(rvec @ w[j + 1])
+            g[f"r{r}_surf_v"] = iface.integrate((r_nu * iface.fluid_qp(v[j])).sum(axis=-1))
+            g[f"r{r}_surf_lam"] = iface.integrate((r_nu * trac).sum(axis=-1))
+        Dv_prev = Dv
 
     # -- totals ------------------------------------------------------------------
     rep.Q = rep.V0 + rep.V1 + rep.V2 + rep.V3
-    rep.Ee, rep.L = _sobolev_ledger_values(ss, states, dt)
-    g["gradsq0"] = vs.grad_norm_sq(st.v)
-    if v1 is not None and v2 is not None:
-        g["gradsq1"] = vs.grad_norm_sq(v1)
-        g["gradsq2"] = vs.grad_norm_sq(v2)
-        rep.X = rep.Q + cfg.epsilon1 * (g["gradsq0"] + g["gradsq1"] + g["gradsq2"])
+    if len(w) == 5:
+        # E^e: broken Sobolev norms of w^(k) of order 4 - k, truncated at the
+        # derivatives a P2 field represents (its Hessian is constant per cell)
+        vols = ss.wdet.sum(axis=1)
+        Ee = 0.0
+        for k in range(5):
+            part = nw[k]
+            if k < 4:
+                part += _sq(ss, Dw[k])
+            if k < 3:
+                H = ss.hess_cells(w[k])
+                part += float(np.sum(vols * np.einsum("ckij,ckij->c", H, H)))
+            Ee += part
+        rep.Ee, rep.L = Ee, ledger_remainder(Ee)
+    g["gradsq0"] = gradsq[0]
+    if len(gradsq) == 3:
+        g["gradsq1"], g["gradsq2"] = gradsq[1], gradsq[2]
+        rep.X = rep.Q + cfg.epsilon1 * (gradsq[0] + gradsq[1] + gradsq[2])
 
     rep.iface_vel, rep.iface_stress = interface_residual_values(st, model, gamma)
+    # one copy of each formatted key for all the reports a run keeps
+    rep.integrands = {intern(k): x for k, x in g.items()}
     return rep
 
 
@@ -243,7 +217,7 @@ def remainder(states, model, j, dt, grads=None):
     if grads is None:
         fields = [st.wt, st.wtt]
         if j == 2:
-            w3 = _w_derivative(states, 3, dt)
+            w3 = backward_difference([s.wtt for s in states], 1, dt)
             if w3 is None:
                 raise PreconditionError("remainder at j=2 needs history depth >= 2")
             fields.append(w3)
@@ -259,18 +233,6 @@ def remainder(states, model, j, dt, grads=None):
 def ledger_remainder(Ee):
     """Power-sum remainder sum_{k=3}^{8} Ee^{k/2}."""
     return sum(Ee ** (k / 2) for k in range(3, 9))
-
-
-def _sobolev_ledger_values(ss, states, dt):
-    """E^e as a broken Sobolev sum truncated at representable derivatives,
-    and the power-sum remainder L."""
-    total = 0.0
-    for k in range(5):
-        wk = _w_derivative(states, k, dt)
-        if wk is None:
-            return nan, nan
-        total += ss.broken_sobolev_sq(wk, 4 - k)
-    return total, ledger_remainder(total)
 
 
 def interface_residual_values(state, model, gamma):

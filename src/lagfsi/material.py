@@ -21,6 +21,7 @@ scalar function are fully symmetric in their matrix slots.
 import numpy as np
 
 from .errors import ConfigError
+from .kernels import _strain, _stress, pk1
 
 # 2-point Gauss-Legendre rule on [0, 1]: exact for cubics in s
 GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
@@ -96,28 +97,16 @@ class MaterialModel:
         I = np.eye(d)
         return self.lam * _tr(A)[..., None, None] * I + 2 * self.mu * _sym(A)
 
-    def _strain(self, F):
-        d = F.shape[-1]
-        I = np.eye(d)
-        if self._svk:
-            return 0.5 * (_tmul(F, F) - I)
-        return _sym(F - I)
-
     def energy_density(self, F):
-        F = np.asarray(F, dtype=float)
-        E = self._strain(F)
+        E = _strain(np.asarray(F, dtype=float), self._svk)
         return 0.5 * self.lam * _tr(E) ** 2 + self.mu * np.einsum("...ij,...ij->...", E, E)
 
     def piola_stress(self, F):
         """DW(F); equals F S(F) for the quadratic-strain model."""
-        F = np.asarray(F, dtype=float)
-        S = self._cmul(self._strain(F))
-        if self._svk:
-            return F @ S
-        return S
+        return pk1(np.asarray(F, dtype=float), self.lam, self.mu, self._svk)
 
     def second_pk(self, F):
-        return self._cmul(self._strain(F))
+        return _stress(F, self.lam, self.mu, self._svk)
 
     # -- contracted higher derivatives ------------------------------------------
 

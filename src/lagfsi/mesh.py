@@ -217,25 +217,6 @@ def star_shape_margin(mesh, x0):
     return float(margin)
 
 
-def surface_integral(mesh, facet_set, integrand):
-    """Quadrature of `integrand(x, nu)` over the facets tagged `facet_set`.
-
-    `integrand` maps (points (nq, d), normal (d,)) to values (nq,); a plain
-    scalar-of-point callable f(x) is also accepted.
-    """
-    if facet_set not in (INTERFACE, OUTER):
-        raise ConfigError(f"unknown facet set {facet_set!r}")
-    total = 0.0
-    idx = mesh.facet_indices(facet_set)
-    for x, w, nu in zip(*mesh.facet_quadrature(idx), mesh.facet_normal[idx]):
-        try:
-            vals = integrand(x, nu)
-        except TypeError:
-            vals = np.array([integrand(xi) for xi in x])
-        total += float(np.dot(w, np.asarray(vals, dtype=float)))
-    return total
-
-
 # -- annular mesh generation ---------------------------------------------------
 
 

@@ -214,17 +214,6 @@ class FieldSpace:
         g = self.grad_qp(dofs)
         return self.integrate(np.einsum("cqki,cqki->cq", g, g))
 
-    def broken_sobolev_sq(self, dofs, order):
-        """Broken squared Sobolev norm truncated at representable derivatives."""
-        total = self.l2_norm_sq(dofs)
-        if order >= 1:
-            total += self.grad_norm_sq(dofs)
-        if order >= 2 and self.degree >= 2:
-            H = self.hess_cells(dofs)
-            vols = self.wdet.sum(axis=1)
-            total += float(np.sum(vols * np.einsum("ckij,ckij->c", H, H)))
-        return total
-
     # -- assembly helpers ------------------------------------------------------
 
     def assembly(self, trial=None, components=False):

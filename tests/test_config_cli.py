@@ -71,6 +71,14 @@ def test_cli_unknown_key_exit_code(tmp_path):
     assert cli.main(["run", path]) == 1
 
 
+def test_cli_run_rejects_check_kinds(tmp_path, capsys):
+    # the checks run as the check-material and check-identities subcommands only
+    for kind in ("identity-suite", "material-check"):
+        path = _write(tmp_path, "k.cfg", f"experiment.kind = {kind}\n")
+        assert cli.main(["run", path]) == 1
+        assert "experiment.kind" in capsys.readouterr().err
+
+
 def test_cli_missing_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "none.cfg")]) == 1
 

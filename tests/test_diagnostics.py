@@ -19,6 +19,7 @@ from lagfsi.manufactured import (
 from lagfsi.material import make_material
 from lagfsi.mesh import SOLID, build_annular_mesh
 from lagfsi.solid import NEWMARK_BETA, NEWMARK_GAMMA, stiffness_matrix
+from lagfsi.spaces import FieldSpace
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -337,6 +338,27 @@ def test_level_energies_nonnegative_when_elliptic():
                 assert v >= -1e-15
 
 
+def test_low_levels_converge_in_dt():
+    # 2-D res 5, gamma = 1, default data, read at t = 0.1.  Measured:
+    #   dt       V0           V1           V2       V3     Ee
+    #   1e-2     3.31090e-7   1.49962e-4   0.12374  357.4  487.7
+    #   5e-3     3.30303e-7   1.51581e-4   0.13835  406.7  578.0
+    #   2.5e-3   3.29952e-7   1.52885e-4   0.14296  508.8  786.5
+    #   1.25e-3  3.29777e-7   1.53569e-4   0.14589  551.0  848.8
+    # The differences of V0 and V1 halve with dt (2.00x, 1.91x between the
+    # last two pairs).  Those of V3 (49, 102, 42) are not monotone, and
+    # V2, X and Ee are not shown to converge either: nothing is pinned on them.
+    values = []
+    for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+        cfg = RunConfig(resolution=5, gamma=1.0, dt=dt, t_end=0.1)
+        reports, _ = run_simulation(cfg.coupling_config(), cfg.make_initial_data(),
+                                    cfg.make_material(), cfg.make_mesh())
+        assert reports[-1].t == pytest.approx(0.1, abs=1e-12)
+        values.append([reports[-1].V0, reports[-1].V1])
+    diffs = np.abs(np.diff(values, axis=0))
+    assert np.all(diffs[1] >= 1.5 * diffs[2]), diffs
+
+
 def test_csv_roundtrip(tmp_path):
     cfg = RunConfig(resolution=5, dt=1e-2, t_end=0.05)
     mesh = cfg.make_mesh()
@@ -428,3 +450,30 @@ def test_report_contractions_match_einsum(problem, run60):
         for key, other in ((f"r{j}_surf_v", iface.fluid_qp(v_top)), (f"r{j}_surf_lam", trac)):
             ref = iface.integrate(np.einsum("kqi,kqi->kq", r_nu, other))
             assert g[key] == pytest.approx(ref, rel=1e-12, abs=0), key
+
+
+def test_report_evaluates_each_derivative_once(run60, monkeypatch):
+    # a full ring: w^(0..4) and v^(0..3) are evaluated once each, and only
+    # w^(0..3) and v^(0..3) are differentiated (the pressure at the
+    # quadrature points is cached on the states)
+    cfg, model, _, final = run60
+    states = final.past()
+    assert len(states) == 6
+    calls = {"grad_qp": 0, "eval_qp": 0}
+    for name in calls:
+        def counted(self, dofs, _original=getattr(FieldSpace, name), _name=name):
+            calls[_name] += 1
+            return _original(self, dofs)
+
+        monkeypatch.setattr(FieldSpace, name, counted)
+    rep = compute_report(final.problem, model, cfg.coupling_config(), states)
+    assert not np.isnan(rep.V3) and not np.isnan(rep.Ee) and not np.isnan(rep.X)
+    assert calls["grad_qp"] <= 8 and calls["eval_qp"] <= 9, calls
+
+
+def test_reports_share_integrand_keys(run60):
+    # a run keeps every report, so each integrand name is one string object
+    # across them, not one per report (300 reports: about 0.3 MB of keys)
+    reports = run60[2]
+    keys = [k for rep in reports for k in rep.integrands]
+    assert len({id(k) for k in keys}) == len(set(keys))

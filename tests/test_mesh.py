@@ -7,12 +7,24 @@ from lagfsi.errors import ConfigError, PreconditionError, UnsupportedDimensionEr
 from lagfsi.mesh import (
     FLUID, INTERFACE, OUTER, SOLID,
     build_annular_mesh, export_vtk,
-    star_shape_margin, surface_integral,
+    star_shape_margin,
 )
 from lagfsi.quadrature import facet_rule, simplex_rule
 from lagfsi.spaces import FieldSpace
 
 RI, RO = 0.4, 1.0
+
+
+def surface_integral(mesh, facet_set, integrand):
+    """Quadrature of `integrand(x, nu)` over the facets tagged `facet_set`;
+    `integrand` maps (points (nq, d), normal (d,)) to values (nq,)."""
+    if facet_set not in (INTERFACE, OUTER):
+        raise ConfigError(f"unknown facet set {facet_set!r}")
+    total = 0.0
+    idx = mesh.facet_indices(facet_set)
+    for x, w, nu in zip(*mesh.facet_quadrature(idx), mesh.facet_normal[idx]):
+        total += float(np.dot(w, np.asarray(integrand(x, nu), dtype=float)))
+    return total
 
 
 def max_facet_length(mesh, tag=INTERFACE):
