@@ -9,7 +9,7 @@ multiplier identities and the exponential decay of the total energy.
 """
 
 from .config import RunConfig, parse_config
-from .coupling import CoupledProblem, CouplingConfig, coupled_step, run_simulation
+from .coupling import CoupledProblem, coupled_step, run_simulation
 from .diagnostics import fit_decay_rate
 from .kernels import BACKEND as kernel_backend
 from .material import MaterialModel, make_material
@@ -17,7 +17,7 @@ from .mesh import ReferenceMesh, build_annular_mesh, star_shape_margin
 
 __all__ = [
     "RunConfig", "parse_config",
-    "CoupledProblem", "CouplingConfig", "coupled_step", "run_simulation",
+    "CoupledProblem", "coupled_step", "run_simulation",
     "fit_decay_rate", "MaterialModel", "make_material",
     "ReferenceMesh", "build_annular_mesh", "star_shape_margin",
     "kernel_backend",

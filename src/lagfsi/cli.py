@@ -107,20 +107,30 @@ def _fit_csv(path, column, window):
 
     with open(path) as fh:
         reader = csvmod.reader(fh)
-        header = next(reader)
-        if column not in header:
-            raise ConfigError(f"column {column!r} not in {path}")
+        header = next(reader, [])
+        for name in ("t", column):
+            if name not in header:
+                raise ConfigError(f"column {name!r} not in {path}")
         ti = header.index("t")
         ci = header.index(column)
-        series = [(float(row[ti]), float(row[ci])) for row in reader]
+        try:
+            series = [(float(row[ti]), float(row[ci])) for row in reader]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
     return fit_decay_rate(series, window=window)
 
 
+def _parse_window(text):
+    """(start, end) from the --window text 'start,end'."""
+    try:
+        a, b = text.split(",")
+        return float(a), float(b)
+    except ValueError as exc:
+        raise ConfigError(f"--window {text!r}: expected two numbers start,end") from exc
+
+
 def cmd_fit_decay(args):
-    window = None
-    if args.window:
-        a, _, b = args.window.partition(",")
-        window = (float(a), float(b))
+    window = _parse_window(args.window) if args.window else None
     C, sigma, r2 = _fit_csv(args.csv, args.column, window)
     print(f"amplitude C = {C!r}")
     print(f"rate sigma  = {sigma!r}")
@@ -128,33 +138,31 @@ def cmd_fit_decay(args):
     return 0
 
 
-def _single_run(cfg, args, gamma=None, dt=None, csv_path=None):
+def _single_run(cfg, args, **overrides):
+    """The reports of one run of `cfg` with the command-line flags and
+    `overrides` applied."""
     mesh = cfg.make_mesh()
     model = cfg.make_material()
     init = cfg.make_initial_data()
-    ccfg = cfg.coupling_config(
-        allow_large=args.allow_large, dump_systems=args.dump_systems,
-        **({} if gamma is None else {"gamma": gamma}),
-        **({} if dt is None else {"dt": dt}),
-        **({} if csv_path is None else {"csv_path": csv_path}),
-    )
-    reports, state = run_simulation(ccfg, init, model, mesh)
-    return reports, state, ccfg
+    run_cfg = cfg.coupling_config(allow_large=args.allow_large,
+                                  dump_systems=args.dump_systems, **overrides)
+    reports, _ = run_simulation(run_cfg, init, model, mesh)
+    return reports
 
 
 def cmd_run(cfg, args):
     kind = cfg.experiment_kind
     if kind == "single":
-        reports, _, ccfg = _single_run(cfg, args)
-        _echo_config(cfg, ccfg.csv_path)
-        print(f"wrote {ccfg.csv_path} ({len(reports)} reports)")
+        reports = _single_run(cfg, args)
+        _echo_config(cfg, cfg.output_csv)
+        print(f"wrote {cfg.output_csv} ({len(reports)} reports)")
         return 0
     if kind == "gamma-sweep":
         base = cfg.output_csv.rsplit(".csv", 1)[0]
         rows = []
         for g in cfg.sweep_gamma:
             path = f"{base}_gamma{g:g}.csv"
-            reports, _, _ = _single_run(cfg, args, gamma=g, csv_path=path)
+            reports = _single_run(cfg, args, gamma=g, output_csv=path)
             _echo_config(cfg, path)
             row = {"gamma": g}
             for col in ("X", "V0e"):
@@ -184,7 +192,7 @@ def cmd_run(cfg, args):
         res = []
         for dt in cfg.sweep_dt:
             path = f"{base}_dt{dt:g}.csv"
-            reports, _, _ = _single_run(cfg, args, dt=dt, csv_path=path)
+            reports = _single_run(cfg, args, dt=dt, output_csv=path)
             _echo_config(cfg, path)
             window = (cfg.identity_window_start, cfg.t_end)
             r0 = abs(diagnostics.energy_identity_residual(reports, cfg.gamma, 0, window))

@@ -5,9 +5,9 @@ the key and line.  The echo of a parsed config lists every key with its
 effective value, so a run is reproducible from its echoed config alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 
 _MATERIAL_KINDS = ("saint-venant-kirchhoff", "linear-isotropic")
 _INIT_MODES = ("radial", "swirl")
@@ -54,6 +54,8 @@ _KEYS = {
 
 @dataclass
 class RunConfig:
+    """Every setting of a run and of its coupled time stepper."""
+
     dimension: int = 2
     inner_radius: float = 0.4
     outer_radius: float = 1.0
@@ -78,6 +80,19 @@ class RunConfig:
     sweep_gamma: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0])
     sweep_dt: list = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
     seed: int = 0
+    # set by command-line flags and library callers; no config key
+    allow_large: bool = False  # skip the smallness screen on the initial data
+    vtk_prefix: str = "state"
+    dump_systems: bool = False
+    dump_prefix: str = "system"
+
+    def __post_init__(self):
+        if self.gamma < 0:
+            raise PreconditionError("gamma must be nonnegative")
+        if self.dt <= 0:
+            raise PreconditionError("dt must be positive")
+        if self.epsilon1 <= 0:
+            raise PreconditionError("epsilon1 must be positive")
 
     def echo(self):
         lines = []
@@ -112,17 +127,8 @@ class RunConfig:
         )
 
     def coupling_config(self, **overrides):
-        from .coupling import CouplingConfig
-
-        kw = dict(
-            gamma=self.gamma, dt=self.dt, t_end=self.t_end,
-            newton_tol=self.newton_tol, newton_maxit=self.newton_maxit,
-            epsilon1=self.epsilon1, viscosity=self.viscosity,
-            epsilon0=self.epsilon0, csv_path=self.output_csv,
-            vtk_every=self.output_vtk_every,
-        )
-        kw.update(overrides)
-        return CouplingConfig(**kw)
+        """A copy of this config with `overrides`, validated again."""
+        return replace(self, **overrides)
 
 
 def parse_config(text):

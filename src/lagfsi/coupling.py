@@ -20,7 +20,7 @@ gamma ||lambda||^2, which is what the energy-identity diagnostics check.
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,34 +31,6 @@ from .kinematics import KinematicState, advance_flow_map
 from .spaces import FieldSpace, InterfaceData
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class CouplingConfig:
-    """Knobs of the coupled time stepper and its diagnostics."""
-
-    gamma: float = 1.0
-    dt: float = 1e-3
-    t_end: float = 2.0
-    newton_tol: float = 1e-10
-    newton_maxit: int = 25
-    epsilon1: float = 0.1
-    viscosity: float = 1.0
-    epsilon0: float = 1e-2  # smallness screen on initial data norms
-    allow_large: bool = False
-    csv_path: str = ""
-    vtk_every: int = 0
-    vtk_prefix: str = "state"
-    dump_systems: bool = False
-    dump_prefix: str = "system"
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise PreconditionError("gamma must be nonnegative")
-        if self.dt <= 0:
-            raise PreconditionError("dt must be positive")
-        if self.epsilon1 <= 0:
-            raise PreconditionError("epsilon1 must be positive")
 
 
 class CoupledProblem:
@@ -262,7 +234,7 @@ def coupled_step(state, cfg, model, step_index=0):
     iface = problem.interface
     dt = cfg.dt
 
-    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps, mass=problem.M_fluid)
+    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps)
     free = problem.free_fluid
     M_s = problem.M_solid
     C_s = iface.C_solid
@@ -328,7 +300,7 @@ def run_simulation(cfg, init, model, mesh):
     """Drive the coupled system from t = 0 to t_end.
 
     `init` supplies (v0, w0, w1) dof arrays via build(problem) or as a tuple.
-    Returns (reports, final_state); writes the CSV when cfg.csv_path is set.
+    Returns (reports, final_state); writes the CSV when cfg.output_csv is set.
     """
     problem = CoupledProblem(mesh, model)
     if hasattr(init, "build"):
@@ -350,18 +322,18 @@ def run_simulation(cfg, init, model, mesh):
         # solve's tangent and factor
         state = new if new is not None else _retry_halved(state, cfg, model, n)
         recorder.add(state)
-        if cfg.vtk_every and n % cfg.vtk_every == 0:
+        if cfg.output_vtk_every and n % cfg.output_vtk_every == 0:
             _export_state(cfg, problem, state, n)
 
-    if cfg.csv_path:
-        diagnostics.write_csv(cfg.csv_path, recorder.reports)
+    if cfg.output_csv:
+        diagnostics.write_csv(cfg.output_csv, recorder.reports)
     return recorder.reports, state
 
 
 def _retry_halved(state, cfg, model, n):
     """Step n as two steps of dt/2.  The result's newton_info is flagged
     `retried` and counts the factorizations and GMRES iterations of both."""
-    half = CouplingConfig(**{**cfg.__dict__, "dt": cfg.dt / 2})
+    half = replace(cfg, dt=cfg.dt / 2)
     mid = coupled_step(state, half, model, step_index=n)
     new = coupled_step(mid, half, model, step_index=n)
     # the diagnostics difference the ring with cfg.dt: keep it spaced by dt,

@@ -343,10 +343,14 @@ def energy_identity_residual(reports, gamma, j, window=None):
     return (Vs[idx[-1]] - Vs[idx[0]]) + integral
 
 
-def fit_decay_rate(series, window=None, floor_factor=100.0):
+# decay fits drop samples below this many machine epsilons of the first one
+FIT_FLOOR_FACTOR = 100.0
+
+
+def fit_decay_rate(series, window=None):
     """Least-squares fit of log X(t) = log C - sigma t.
 
-    Returns (C, sigma, R^2).  Samples at the floor (below floor_factor *
+    Returns (C, sigma, R^2).  Samples at the floor (below FIT_FLOOR_FACTOR *
     machine epsilon relative to the first sample) are excluded; nonpositive
     samples or fewer than 10 usable points raise FitDomainError.
     """
@@ -360,7 +364,7 @@ def fit_decay_rate(series, window=None, floor_factor=100.0):
         window = (tmax / 2, tmax)
     sel = (arr[:, 0] >= window[0] - 1e-12) & (arr[:, 0] <= window[1] + 1e-12)
     arr = arr[sel]
-    floor = floor_factor * np.finfo(float).eps * abs(x0)
+    floor = FIT_FLOOR_FACTOR * np.finfo(float).eps * abs(x0)
     arr = arr[np.abs(arr[:, 1]) > floor]
     if len(arr) and np.any(arr[:, 1] <= 0):
         raise FitDomainError("nonpositive samples in fit window (floor reached)")
@@ -466,9 +470,12 @@ class _AwEvaluator:
         return out
 
 
+# Gauss-Legendre points of the multiplier identities' time integrals
+IDENTITY_TIME_POINTS = 20
+
+
 def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
-                                 base=None, flavor="secant",
-                                 quad_degree=5, time_points=20):
+                                 base=None, flavor="secant", quad_degree=5):
     """Residuals of the two integration-by-parts multiplier identities.
 
     `hat` is a manufactured displacement with vectorized callables
@@ -488,7 +495,7 @@ def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
     Aw = _AwEvaluator(model, flavor, base)
 
     s_t, t_t = interval
-    tn, tw = np.polynomial.legendre.leggauss(time_points)
+    tn, tw = np.polynomial.legendre.leggauss(IDENTITY_TIME_POINTS)
     tn = 0.5 * (tn + 1) * (t_t - s_t) + s_t
     tw = 0.5 * tw * (t_t - s_t)
 

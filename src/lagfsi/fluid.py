@@ -16,15 +16,15 @@ from .spaces import basis_values
 
 
 class FluidOperator:
-    """Implicit-Euler step blocks on the full fluid spaces.
+    """Implicit-Euler step blocks on the full fluid spaces at one flow map.
 
-    M/dt + viscosity K(a a^T) acts on velocity; B is the weak divergence row
-    tr(a Dv); the momentum equation carries -B^T on the pressure.  The
-    coupling module places the blocks in the coupled tangent.
+    M/dt + viscosity K(a a^T) acts on velocity, with the constant mass M
+    kept by the coupled problem; B is the weak divergence row tr(a Dv); the
+    momentum equation carries -B^T on the pressure.  The coupling module
+    places the blocks in the coupled tangent.
     """
 
-    def __init__(self, M, K, B, dt, viscosity):
-        self.M = M
+    def __init__(self, K, B, dt, viscosity):
         self.K = K
         self.B = B
         self.dt = dt
@@ -49,17 +49,16 @@ def divergence_matrix(vspace, pspace, a):
     return pspace.scatter_matrix(elems.reshape(nc, nlocp, nloca * d), vspace)
 
 
-def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace, mass=None):
+def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace):
     """Blocks of the implicit-Euler fluid step at the current flow map."""
     margin = _min_eig_sym(kin.aaT).min()
     if margin <= 0:
         raise MeshDegenerationError(
             f"coefficient a a^T lost ellipticity (min eigenvalue {margin:.3e})"
         )
-    M = vspace.mass_matrix() if mass is None else mass
     K = viscous_matrix(vspace, kin.aaT)
     B = divergence_matrix(vspace, pspace, kin.a)
-    return FluidOperator(M, K, B, dt, viscosity)
+    return FluidOperator(K, B, dt, viscosity)
 
 
 def _outer_facet_tables(mesh, pspace):

@@ -18,6 +18,9 @@ from .spaces import _grad_at
 
 log = logging.getLogger(__name__)
 
+# the bounds report warns when |I - a a^T| exceeds this anywhere
+NEAR_IDENTITY_EPSILON = 0.25
+
 
 class BoundsReport:
     """Pointwise-sup distances of a from the identity and the ellipticity
@@ -82,10 +85,6 @@ class KinematicState:
         det = 1 exactly."""
         return cls(space, interface, space.zeros(), 0.0)
 
-    @property
-    def eta(self):
-        return self.space.node_coords.reshape(-1) + self.displacement
-
 
 def advance_flow_map(state, v, dt):
     """One implicit-Euler-consistent update eta' = eta + dt v with v the
@@ -107,9 +106,9 @@ def _min_eig_sym(M):
     return np.linalg.eigvalsh(M)[..., 0]
 
 
-def kinematic_bounds_report(state, epsilon=0.25):
+def kinematic_bounds_report(state):
     """Scan all quadrature points for the near-identity bounds; logs a
-    warning when the coefficient distance exceeds `epsilon`."""
+    warning when the coefficient distance exceeds NEAR_IDENTITY_EPSILON."""
     d = state.space.dim
     I = np.eye(d)
 
@@ -124,9 +123,9 @@ def kinematic_bounds_report(state, epsilon=0.25):
     rep = BoundsReport(
         max(da1, da2), max(daaT1, daaT2), min(ell1, ell2), min(det1, det2)
     )
-    if rep.sup_dist_aaT_identity > epsilon:
+    if rep.sup_dist_aaT_identity > NEAR_IDENTITY_EPSILON:
         log.warning(
             "near-identity bound exceeded at t=%.4g: |I - a a^T| = %.3e > %.3e",
-            state.time, rep.sup_dist_aaT_identity, epsilon,
+            state.time, rep.sup_dist_aaT_identity, NEAR_IDENTITY_EPSILON,
         )
     return rep

@@ -83,27 +83,3 @@ def sin_quadratic_displacement(d, scale=1.0):
 
     return separable(np.sin, np.cos, lambda t: -np.sin(t), p, pg, ph, d)
 
-
-class StaticDisplacement:
-    """Time-independent base displacement with closed-form derivatives;
-    doubles as the base field of frozen-coefficient operators."""
-
-    def __init__(self, grad_const=None, quadratic=0.0, d=2):
-        self.d = d
-        self.G = np.zeros((d, d)) if grad_const is None else np.asarray(grad_const, float)
-        self.q = float(quadratic)
-
-    def value(self, x):
-        out = x @ self.G.T
-        out[..., 0] += self.q * x[..., 0] ** 2
-        return out
-
-    def grad(self, x):
-        out = np.broadcast_to(self.G, x.shape[:-1] + (self.d, self.d)).copy()
-        out[..., 0, 0] += 2 * self.q * x[..., 0]
-        return out
-
-    def hess(self, x):
-        out = np.zeros(x.shape[:-1] + (self.d, self.d, self.d))
-        out[..., 0, 0, 0] = 2 * self.q
-        return out

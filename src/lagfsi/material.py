@@ -11,11 +11,10 @@ Two models ship:
 Both satisfy the equilibrium condition DW(I) = 0 and strong ellipticity
 at the identity with margin mu (checked at construction).
 
-Derivatives are exposed two ways: full tensors (``hessian``,
-``higher_derivative``) for the diagnostics that need them, and contracted
-matrix/scalar forms (``d2_contract`` ...) used by assembly and the stress
-rates.  Contraction slot order never matters: all derivative tensors of a
-scalar function are fully symmetric in their matrix slots.
+Derivatives are exposed as contracted matrix and scalar forms
+(``d2_contract`` ...), which assembly and the energy report use.
+Contraction slot order never matters: all derivative tensors of a scalar
+function are fully symmetric in their matrix slots.
 """
 
 import numpy as np
@@ -28,15 +27,6 @@ GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
 GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 KINDS = {"linear-isotropic": 0, "saint-venant-kirchhoff": 1}
-
-
-def isotropic_tensor(dim, lam, mu):
-    """lam I(x)I + 2 mu sym-projector, as a (d,d,d,d) array with slot pairs
-    (i,a),(j,b)."""
-    I = np.eye(dim)
-    C = lam * np.einsum("ia,jb->iajb", I, I)
-    C += mu * (np.einsum("ij,ab->iajb", I, I) + np.einsum("ib,aj->iajb", I, I))
-    return C
 
 
 def _sym(M):
@@ -52,19 +42,8 @@ def _tmul(A, B):
     return np.swapaxes(A, -1, -2) @ B
 
 
-class StressRateBundle:
-    """Time derivatives of the first Piola stress along a deformation path."""
-
-    def __init__(self, C, Cdot=None, Cddot=None, C3=None, C4=None):
-        self.C = C
-        self.Cdot = Cdot
-        self.Cddot = Cddot
-        self.C3 = C3
-        self.C4 = C4
-
-
 class MaterialModel:
-    """Stored-energy function with derivative evaluators up to order 5.
+    """Stored-energy function with derivative evaluators up to order 4.
 
     Parameters
     ----------
@@ -135,9 +114,6 @@ class MaterialModel:
         c = self._cmul
         return H @ c(_tmul(K, G)) + K @ c(_tmul(H, G)) + G @ c(_tmul(K, H))
 
-    def d5_contract(self, G, H, K, L):
-        return np.zeros(np.asarray(G, dtype=float).shape)
-
     def d2_form(self, F, G, H):
         """Scalar D^2W(F)(G, H)."""
         return np.einsum("...ib,...ib->...", self.d2_contract(F, G), np.asarray(H, dtype=float))
@@ -145,46 +121,6 @@ class MaterialModel:
     def d3_form(self, F, A, B, C):
         """Scalar D^3W(F)(A, B, C)."""
         return np.einsum("...ib,...ib->...", self.d3_contract(F, A, B), np.asarray(C, dtype=float))
-
-    # -- full tensors ------------------------------------------------------------
-
-    def hessian(self, F):
-        """Full D^2W(F) with slot pairs (i,a),(j,b); major-symmetric."""
-        F = np.asarray(F, dtype=float)
-        d = F.shape[-1]
-        C = isotropic_tensor(d, self.lam, self.mu)
-        if not self._svk:
-            shape = F.shape[:-2] + (d, d, d, d)
-            return np.broadcast_to(C, shape).copy()
-        S = self.second_pk(F)
-        I = np.eye(d)
-        out = np.einsum("...iA,AaBb,...jB->...iajb", F, C, F)
-        out += np.einsum("ij,...ab->...iajb", I, S)
-        # exact major symmetry (the einsum is symmetric only to roundoff)
-        nb = out.ndim - 4
-        swap = tuple(range(nb)) + (nb + 2, nb + 3, nb, nb + 1)
-        return 0.5 * (out + np.transpose(out, swap))
-
-    def higher_derivative(self, F, order):
-        """Full D^kW(F) for k in {3, 4, 5}."""
-        F = np.asarray(F, dtype=float)
-        d = F.shape[-1]
-        if order not in (3, 4, 5):
-            raise ConfigError(f"unsupported derivative order {order}")
-        shape = F.shape[:-2] + (d, d) * order
-        if not self._svk or order == 5:
-            return np.zeros(shape)
-        C = isotropic_tensor(d, self.lam, self.mu)
-        I = np.eye(d)
-        if order == 3:
-            out = np.einsum("ik,gaBb,...jB->...iajbkg", I, C, F)
-            out += np.einsum("jk,AagB,...iA->...iajBkg", I, C, F)
-            out += np.einsum("ij,bagD,...kD->...iajbkg", I, C, F)
-            return out
-        out = np.einsum("ik,gadb,jl->iajbkgld", I, C, I)
-        out += np.einsum("jk,dagb,il->iajbkgld", I, C, I)
-        out += np.einsum("ij,bagd,kl->iajbkgld", I, C, I)
-        return np.broadcast_to(out, shape).copy()
 
     # -- secant (averaged Hessian) forms ----------------------------------------
     # D^2W is at most quadratic and D^3W affine in F for both models, so the
@@ -285,40 +221,6 @@ def _relerr(a, b):
 
 def make_material(kind, lam=1.0, mu=1.0):
     return MaterialModel(kind, lam, mu)
-
-
-def stress_rates(model, Dw, rates):
-    """Time derivatives of C(t) = DW(Dw + I) along a deformation path.
-
-    `rates` lists the gradients of the time derivatives of the displacement,
-    [Dw_t, Dw_tt, ...]; as many orders are produced as supplied (max 4).
-    """
-    Dw = np.asarray(Dw, dtype=float)
-    d = Dw.shape[-1]
-    F = Dw + np.eye(d)
-    n = len(rates)
-    if n < 1:
-        raise ConfigError("stress_rates needs at least the first rate Dw_t")
-    G = [np.asarray(r, dtype=float) for r in rates]
-    out = StressRateBundle(model.piola_stress(F))
-    out.Cdot = model.d2_contract(F, G[0])
-    if n >= 2:
-        out.Cddot = model.d2_contract(F, G[1]) + model.d3_contract(F, G[0], G[0])
-    if n >= 3:
-        out.C3 = (
-            model.d2_contract(F, G[2])
-            + 3 * model.d3_contract(F, G[0], G[1])
-            + model.d4_contract(G[0], G[0], G[0])
-        )
-    if n >= 4:
-        out.C4 = (
-            model.d2_contract(F, G[3])
-            + 4 * model.d3_contract(F, G[0], G[2])
-            + 3 * model.d3_contract(F, G[1], G[1])
-            + 6 * model.d4_contract(G[0], G[0], G[1])
-            + model.d5_contract(G[0], G[0], G[0], G[0])
-        )
-    return out
 
 
 def remainder_bracket(model, Dw, rates, j):

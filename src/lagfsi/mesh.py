@@ -20,6 +20,10 @@ INTERNAL = 0
 INTERFACE = 1
 OUTER = 2
 
+# polynomial exactness of `facet_quadrature`, which every interface and
+# boundary table uses
+FACET_QUAD_DEGREE = 5
+
 
 class ReferenceMesh:
     """Conforming simplex mesh with fluid/solid region tags.
@@ -31,12 +35,9 @@ class ReferenceMesh:
         Simplex connectivity, positively oriented.
     region : (nc,) int array
         FLUID or SOLID per cell.
-    facet_quad_degree : int
-        Polynomial exactness of `facet_quadrature`, which every interface
-        and boundary table uses.
     """
 
-    def __init__(self, vertices, cells, region, facet_quad_degree=5):
+    def __init__(self, vertices, cells, region):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.region = np.asarray(region, dtype=np.int64)
@@ -46,7 +47,6 @@ class ReferenceMesh:
         self._orient_cells()
         self._build_edges()
         self._classify_facets()
-        self.facet_quad_degree = facet_quad_degree
         self._check_invariants()
 
     # -- construction helpers -------------------------------------------------
@@ -165,9 +165,9 @@ class ReferenceMesh:
     def facet_quadrature(self, facets, degree=None):
         """Physical quadrature points and weights on one facet or an index
         array of facets: points (..., nq, d), weights (..., nq).  `degree`
-        defaults to `facet_quad_degree`."""
+        defaults to FACET_QUAD_DEGREE."""
         d = self.dimension
-        qp, qw = facet_rule(d, self.facet_quad_degree if degree is None else degree)
+        qp, qw = facet_rule(d, FACET_QUAD_DEGREE if degree is None else degree)
         pts = self.vertices[self.facets[facets]]            # (..., d, d)
         x = pts[..., None, 0, :]
         for j in range(1, d):
@@ -393,10 +393,9 @@ def build_annular_mesh(dimension, inner_radius, outer_radius, resolution):
     return ReferenceMesh(verts, cells, region)
 
 
-def export_vtk(mesh, path, cell_data=None, point_data=None):
-    """Write the mesh in legacy ASCII VTK unstructured-grid format."""
-    cell_data = dict(cell_data or {})
-    cell_data.setdefault("region", mesh.region)
+def export_vtk(mesh, path, point_data=None):
+    """Write the mesh in legacy ASCII VTK unstructured-grid format, with the
+    region tag as cell data."""
     nv, d = mesh.vertices.shape
     nc, nloc = mesh.cells.shape
     vtk_type = 5 if d == 2 else 10
@@ -416,10 +415,9 @@ def export_vtk(mesh, path, cell_data=None, point_data=None):
     lines.append(f"CELL_TYPES {nc}")
     lines.extend([str(vtk_type)] * nc)
     lines.append(f"CELL_DATA {nc}")
-    for name, data in cell_data.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(repr(float(x)) for x in np.asarray(data, dtype=float))
+    lines.append("SCALARS region double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(repr(float(x)) for x in mesh.region)
     if point_data:
         lines.append(f"POINT_DATA {nv}")
         for name, data in point_data.items():

@@ -55,17 +55,17 @@ def solid_residual(model, space, mass, w, w_tt, load=None):
     return R
 
 
-def newmark_rate_factor(dt, beta=NEWMARK_BETA, gamma=NEWMARK_GAMMA):
+def newmark_rate_factor(dt):
     """d(w_t)/d(w) of the Newmark closure, gamma / (beta dt)."""
-    return gamma / (beta * dt)
+    return NEWMARK_GAMMA / (NEWMARK_BETA * dt)
 
 
-def newmark_update(w_new, w_old, wt_old, wtt_old, dt, beta=NEWMARK_BETA, gamma=NEWMARK_GAMMA):
+def newmark_update(w_new, w_old, wt_old, wtt_old, dt):
     """Closure giving (w_t, w_tt) at the end of the step from the new w."""
-    pred_w = w_old + dt * wt_old + dt * dt * (0.5 - beta) * wtt_old
-    pred_wt = wt_old + dt * (1 - gamma) * wtt_old
-    wt_new = pred_wt + newmark_rate_factor(dt, beta, gamma) * (w_new - pred_w)
-    wtt_new = 1.0 / (beta * dt * dt) * (w_new - pred_w)
+    pred_w = w_old + dt * wt_old + dt * dt * (0.5 - NEWMARK_BETA) * wtt_old
+    pred_wt = wt_old + dt * (1 - NEWMARK_GAMMA) * wtt_old
+    wt_new = pred_wt + newmark_rate_factor(dt) * (w_new - pred_w)
+    wtt_new = 1.0 / (NEWMARK_BETA * dt * dt) * (w_new - pred_w)
     return wt_new, wtt_new
 
 

@@ -210,10 +210,6 @@ class FieldSpace:
         vals = self.eval_qp(dofs)
         return self.integrate(np.einsum("cqk,cqk->cq", vals, vals))
 
-    def grad_norm_sq(self, dofs):
-        g = self.grad_qp(dofs)
-        return self.integrate(np.einsum("cqki,cqki->cq", g, g))
-
     # -- assembly helpers ------------------------------------------------------
 
     def assembly(self, trial=None, components=False):
@@ -317,7 +313,7 @@ class InterfaceData:
         self.normal = mesh.facet_normal[self.facets]
 
         # facet-intrinsic P2 basis at the quadrature points
-        qp, _ = facet_rule(self.dim, mesh.facet_quad_degree)
+        qp, _ = facet_rule(self.dim, meshmod.FACET_QUAD_DEGREE)
         if self.dim == 2:
             s = qp[:, 0]
             self.fval = np.column_stack(

@@ -105,6 +105,12 @@ def oracle_d2w(F, lam, mu, kind):
     return D2
 
 
+def eta(kin):
+    """Nodal positions of the flow map of a KinematicState: the velocity
+    space's node coordinates plus the kept displacement eta - x."""
+    return kin.space.node_coords.reshape(-1) + kin.displacement
+
+
 def make_tiny_mesh():
     """Smallest legal enclosed-solid mesh: 2 solid + 8 fluid triangles."""
     a, b = 0.4, 1.0
@@ -276,7 +282,7 @@ class DenseStep:
         vs, ps, ss = problem.vspace, problem.pspace, problem.sspace
         free = problem.free_fluid
         dt = cfg.dt
-        Mf, A_full, B_full = self.fluid_matrices(state.kin.eta, dt, cfg.viscosity)
+        Mf, A_full, B_full = self.fluid_matrices(eta(state.kin), dt, cfg.viscosity)
         A = A_full[np.ix_(free, free)]
         B = B_full[:, free]
         Ms = self.solid_mass()

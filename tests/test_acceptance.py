@@ -13,16 +13,17 @@ import pytest
 
 from lagfsi import cli
 from lagfsi.config import RunConfig, parse_config
-from lagfsi.coupling import CoupledProblem, CouplingConfig, coupled_step, run_simulation
+from lagfsi.coupling import CoupledProblem, coupled_step, run_simulation
 from lagfsi.diagnostics import (
     RadialMultiplier, ScalarField, energy_identity_residual, fit_decay_rate,
     multiplier_identity_residual, remainder,
 )
 from lagfsi.manufactured import constant_displacement, sin_quadratic_displacement
-from lagfsi.material import make_material, stress_rates
+from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 
 from oracle_fem import DenseStep, make_tiny_mesh
+from test_material import stress_rates
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -258,7 +259,7 @@ def test_criterion_9_small_mesh_oracle():
         mesh = make_tiny_mesh()
         model = make_material(kind, 1.0, 1.0)
         problem = CoupledProblem(mesh, model)
-        cfg = CouplingConfig(gamma=0.7, dt=0.01, newton_tol=1e-13)
+        cfg = RunConfig(gamma=0.7, dt=0.01, newton_tol=1e-13)
         vs, ss = problem.vspace, problem.sspace
         from lagfsi.coupling import CoupledState
         from lagfsi.kinematics import KinematicState, advance_flow_map

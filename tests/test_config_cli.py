@@ -5,7 +5,7 @@ import pytest
 
 from lagfsi import cli
 from lagfsi.config import RunConfig, parse_config
-from lagfsi.errors import ConfigError
+from lagfsi.errors import ConfigError, PreconditionError
 
 
 def test_defaults():
@@ -17,6 +17,17 @@ def test_defaults():
     assert cfg.gamma == 1.0
     assert cfg.dt == 1e-3
     assert cfg.t_end == 2.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RunConfig(gamma=-1),
+    lambda: RunConfig(dt=0),
+    lambda: RunConfig(epsilon1=0),
+    lambda: RunConfig().coupling_config(dt=0),
+], ids=["gamma", "dt", "epsilon1", "coupling_config-dt"])
+def test_run_config_preconditions(make):
+    with pytest.raises(PreconditionError):
+        make()
 
 
 def test_range_violation_names_key():
@@ -121,6 +132,21 @@ def test_cli_fit_decay(tmp_path, capsys):
     assert "rate sigma" in out
     sigma = float(out.splitlines()[1].split("=")[1])
     assert sigma == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("text,window,bad", [
+    ("t,X\n0.0,1.0\n", "0.5", "--window '0.5'"),
+    ("t,X\n0.0,1.0\n", "a,b", "--window 'a,b'"),
+    ("time,X\n0.0,1.0\n", "", "column 't'"),
+    ("t,X\n0.0,1.0\n0.1,abc\n", "", "line 3"),
+], ids=["window-one-number", "window-not-numbers", "no-t-column", "non-numeric-cell"])
+def test_cli_fit_decay_bad_input(tmp_path, capsys, text, window, bad):
+    # bad input exits 1 with a configuration error naming it, no traceback
+    csv = tmp_path / "x.csv"
+    csv.write_text(text)
+    assert cli.main(["fit-decay", str(csv), "--window", window]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and bad in err
 
 
 def test_cli_gamma_sweep_zero_data(tmp_path, capsys):

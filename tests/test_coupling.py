@@ -9,7 +9,7 @@ import pytest
 from lagfsi import coupling
 from lagfsi.config import RunConfig
 from lagfsi.coupling import (
-    CoupledProblem, CouplingConfig, coupled_step, initial_state, run_simulation,
+    CoupledProblem, coupled_step, initial_state, run_simulation,
 )
 from lagfsi.diagnostics import interface_residual_values
 from lagfsi.errors import PreconditionError, SolverError
@@ -86,7 +86,7 @@ def test_coupled_step_matches_dense_oracle(kind):
     mesh = make_tiny_mesh()
     model = make_material(kind, 1.0, 1.0)
     problem = CoupledProblem(mesh, model)
-    cfg = CouplingConfig(gamma=0.7, dt=0.01, newton_tol=1e-13)
+    cfg = RunConfig(gamma=0.7, dt=0.01, newton_tol=1e-13)
     state = _manufactured_state(problem, model, cfg)
     new = coupled_step(state, cfg, model)
     oracle = DenseStep(problem, model)
@@ -102,7 +102,7 @@ def test_interface_residuals_equilibrium_and_perturbation():
     mesh = build_annular_mesh(2, 0.4, 1.0, 5)
     model = make_material(LIN, 1.0, 1.0)
     problem = CoupledProblem(mesh, model)
-    cfg = CouplingConfig(gamma=0.0, dt=1e-2)
+    cfg = RunConfig(gamma=0.0, dt=1e-2)
     z = initial_state(problem, cfg, model, problem.vspace.zeros(),
                       problem.sspace.zeros(), problem.sspace.zeros())
     assert interface_residual_values(z, model, 0.0) == (0.0, 0.0)
@@ -324,7 +324,7 @@ def test_vtk_and_system_dumps(tmp_path, monkeypatch):
     cfg = RunConfig(resolution=5, dt=1e-2, t_end=0.02)
     mesh = cfg.make_mesh()
     model = cfg.make_material()
-    ccfg = cfg.coupling_config(vtk_every=1, vtk_prefix=str(tmp_path / "snap"),
+    ccfg = cfg.coupling_config(output_vtk_every=1, vtk_prefix=str(tmp_path / "snap"),
                                dump_systems=True, dump_prefix=str(tmp_path / "sys"))
     run_simulation(ccfg, cfg.make_initial_data(), model, mesh)
     vtks = sorted(tmp_path.glob("snap_*.vtk"))
@@ -348,8 +348,8 @@ def _block_step(problem, state, cfg, model):
 
     vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
     dt, free = cfg.dt, problem.free_fluid
-    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps, mass=problem.M_fluid)
-    A_ff = (op.M / dt + op.viscosity * op.K).tocsr()[free][:, free]
+    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps)
+    A_ff = (problem.M_fluid / dt + op.viscosity * op.K).tocsr()[free][:, free]
     B_f = op.B.tocsc()[:, free]
     C_f = iface.C_fluid.tocsr()[free]
     C_s, M_s, Mg = iface.C_solid, problem.M_solid, iface.M_vec
@@ -460,7 +460,7 @@ def test_half_step_after_full_steps_matches_fresh_problem():
     state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
     for n in range(3):
         state = coupled_step(state, ccfg, model, n + 1)
-    half = CouplingConfig(**{**ccfg.__dict__, "dt": ccfg.dt / 2})
+    half = ccfg.coupling_config(dt=ccfg.dt / 2)
     reused = coupled_step(state, half, model, 4)
     fresh_problem = CoupledProblem(mesh, model)
     copy = CoupledState(fresh_problem, state.v, state.q, state.w, state.wt, state.wtt,

@@ -13,12 +13,12 @@ from lagfsi.kinematics import KinematicState, advance_flow_map
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 
-from oracle_fem import DenseStep, make_tiny_mesh
+from oracle_fem import DenseStep, eta, make_tiny_mesh
 
 
-def step_matrix(op):
+def step_matrix(problem, op):
     """The implicit-Euler velocity block M/dt + viscosity K of a FluidOperator."""
-    return op.M / op.dt + op.viscosity * op.K
+    return problem.M_fluid / op.dt + op.viscosity * op.K
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,10 @@ def test_identity_coefficients_match_dense_oracle(tiny):
     kin = KinematicState.initial(problem.vspace, problem.interface)
     op = assemble_fluid_operator(kin, 0.1, 1.0, problem.vspace, problem.pspace)
     oracle = DenseStep(problem, model)
-    Mo, Ao, Bo = oracle.fluid_matrices(kin.eta, 0.1, 1.0)
-    assert np.abs(step_matrix(op).toarray() - Ao).max() < 1e-12
+    Mo, Ao, Bo = oracle.fluid_matrices(eta(kin), 0.1, 1.0)
+    assert np.abs(step_matrix(problem, op).toarray() - Ao).max() < 1e-12
     assert np.abs(op.B.toarray() - Bo).max() < 1e-12
-    assert np.abs(op.M.toarray() - Mo).max() < 1e-12
+    assert np.abs(problem.M_fluid.toarray() - Mo).max() < 1e-12
 
 
 def test_variable_coefficients_match_dense_oracle(tiny):
@@ -56,8 +56,8 @@ def test_variable_coefficients_match_dense_oracle(tiny):
     kin = advance_flow_map(kin0, v, 0.5)
     op = assemble_fluid_operator(kin, 0.1, 1.0, problem.vspace, problem.pspace)
     oracle = DenseStep(problem, model)
-    _, Ao, Bo = oracle.fluid_matrices(kin.eta, 0.1, 1.0)
-    assert np.abs(step_matrix(op).toarray() - Ao).max() < 1e-11
+    _, Ao, Bo = oracle.fluid_matrices(eta(kin), 0.1, 1.0)
+    assert np.abs(step_matrix(problem, op).toarray() - Ao).max() < 1e-11
     assert np.abs(op.B.toarray() - Bo).max() < 1e-11
 
 
@@ -86,7 +86,7 @@ def test_constraint_on_divergence_free_field(tiny):
     kin = KinematicState.initial(problem.vspace, problem.interface)
     op = assemble_fluid_operator(kin, 1.0, 1.0, problem.vspace, problem.pspace)
     oracle = DenseStep(problem, model)
-    _, _, Bo = oracle.fluid_matrices(kin.eta, 1.0, 1.0)
+    _, _, Bo = oracle.fluid_matrices(eta(kin), 1.0, 1.0)
     # build a discretely divergence-free field from the oracle's nullspace
     _, s, Vt = np.linalg.svd(Bo)
     null = Vt[(s > 1e-10 * s.max()).sum():].T
@@ -173,21 +173,21 @@ def test_discrete_energy_inequality(annulus):
     shift = vs.interpolate(lambda x: 0.05 * np.array([np.sin(2 * x[1]), np.cos(2 * x[0])]))
     kin = advance_flow_map(kin0, shift, 1.0)
     dt = 0.05
-    op = assemble_fluid_operator(kin, dt, 1.0, vs, ps, mass=problem.M_fluid)
+    op = assemble_fluid_operator(kin, dt, 1.0, vs, ps)
     free = problem.free_fluid
     bump = lambda x: (x @ x - 0.16) * (1.0 - x @ x)
     v0 = vs.interpolate(lambda x: 0.1 * np.array([bump(x) * x[1], -bump(x) * x[0]]))
     import scipy.sparse as sp
 
-    A = step_matrix(op)[free][:, free]
+    A = step_matrix(problem, op)[free][:, free]
     B = op.B[:, free]
     nq = ps.nscalar
     J = sp.bmat([[A, -B.T], [B, None]], format="csc")
-    rhs = np.concatenate([(op.M @ v0)[free] / dt, np.zeros(nq)])
+    M = problem.M_fluid
+    rhs = np.concatenate([(M @ v0)[free] / dt, np.zeros(nq)])
     sol = spla.spsolve(J, rhs)
     v1 = np.zeros(vs.ndof)
     v1[free] = sol[: free.sum()]
-    M = op.M
     K = op.K
     lhs = v1 @ M @ v1 + 2 * dt * (v1 @ K @ v1)
     rhs_e = v0 @ M @ v0
@@ -198,10 +198,9 @@ def pressure_schur_condition(problem, dt=1.0, viscosity=1.0):
     """Condition number of the pressure Schur complement at a = I
     (tracked as an inf-sup health indicator, not gated)."""
     kin = KinematicState.initial(problem.vspace, problem.interface)
-    op = assemble_fluid_operator(kin, dt, viscosity, problem.vspace, problem.pspace,
-                                 mass=problem.M_fluid)
+    op = assemble_fluid_operator(kin, dt, viscosity, problem.vspace, problem.pspace)
     free = problem.free_fluid
-    A = step_matrix(op)[free][:, free].tocsc()
+    A = step_matrix(problem, op)[free][:, free].tocsc()
     B = op.B[:, free].tocsr()
     Ainv = spla.splu(A)
     S = np.array([B @ Ainv.solve(col) for col in B.toarray()])

@@ -264,7 +264,7 @@ def _first_step_tangent(dim, res):
     ccfg = cfg.coupling_config()
     state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
     op = fluid.assemble_fluid_operator(state.kin, ccfg.dt, ccfg.viscosity, problem.vspace,
-                                       problem.pspace, mass=problem.M_fluid)
+                                       problem.pspace)
     data = problem.tangent.step_data(op, ccfg.gamma)
     return problem.tangent.matrix(data, stiffness_matrix(model, problem.sspace, state.w))
 
