@@ -5,6 +5,7 @@ the key and line.  The echo of a parsed config lists every key with its
 effective value, so a run is reproducible from its echoed config alone.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, PreconditionError
@@ -14,32 +15,39 @@ _INIT_MODES = ("radial", "swirl")
 _EXPERIMENTS = ("single", "gamma-sweep", "dt-study")
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 # key -> (attribute, parser, validator, description); defaults live in RunConfig
 _KEYS = {
     "dimension": ("dimension", int, lambda v: v in (2, 3), "2 or 3"),
-    "inner_radius": ("inner_radius", float, lambda v: v > 0, "> 0"),
-    "outer_radius": ("outer_radius", float, lambda v: v > 0, "> 0"),
+    "inner_radius": ("inner_radius", _finite, lambda v: v > 0, "> 0"),
+    "outer_radius": ("outer_radius", _finite, lambda v: v > 0, "> 0"),
     "resolution": ("resolution", int, lambda v: v >= 4, ">= 4"),
     "material.kind": ("material_kind", str,
                       lambda v: v in _MATERIAL_KINDS, f"one of {_MATERIAL_KINDS}"),
-    "material.lambda": ("material_lambda", float, lambda v: v >= 0, ">= 0"),
-    "material.mu": ("material_mu", float, lambda v: v > 0, "> 0"),
-    "gamma": ("gamma", float, lambda v: v >= 0, ">= 0"),
-    "dt": ("dt", float, lambda v: v > 0, "> 0"),
-    "t_end": ("t_end", float, lambda v: v >= 0, ">= 0"),
-    "viscosity": ("viscosity", float, lambda v: v > 0, "> 0"),
-    "epsilon1": ("epsilon1", float, lambda v: v > 0, "> 0"),
-    "epsilon0": ("epsilon0", float, lambda v: v > 0, "> 0"),
-    "init.amplitude": ("init_amplitude", float, lambda v: v >= 0, ">= 0"),
+    "material.lambda": ("material_lambda", _finite, lambda v: v >= 0, ">= 0"),
+    "material.mu": ("material_mu", _finite, lambda v: v > 0, "> 0"),
+    "gamma": ("gamma", _finite, lambda v: v >= 0, ">= 0"),
+    "dt": ("dt", _finite, lambda v: v > 0, "> 0"),
+    "t_end": ("t_end", _finite, lambda v: v >= 0, ">= 0"),
+    "viscosity": ("viscosity", _finite, lambda v: v > 0, "> 0"),
+    "epsilon1": ("epsilon1", _finite, lambda v: v > 0, "> 0"),
+    "epsilon0": ("epsilon0", _finite, lambda v: v > 0, "> 0"),
+    "init.amplitude": ("init_amplitude", _finite, lambda v: v >= 0, ">= 0"),
     "init.mode": ("init_mode", str, lambda v: v in _INIT_MODES,
                   f"one of {_INIT_MODES}"),
-    "newton.tol": ("newton_tol", float, lambda v: v > 0, "> 0"),
+    "newton.tol": ("newton_tol", _finite, lambda v: v > 0, "> 0"),
     "newton.maxit": ("newton_maxit", int, lambda v: v >= 1, ">= 1"),
-    "identity.window_start": ("identity_window_start", float, lambda v: v >= 0, ">= 0"),
+    "identity.window_start": ("identity_window_start", _finite, lambda v: v >= 0, ">= 0"),
     "output.csv": ("output_csv", str, None, "path"),
     "output.vtk_every": ("output_vtk_every", int, lambda v: v >= 0, ">= 0"),
     "experiment.kind": ("experiment_kind", str,

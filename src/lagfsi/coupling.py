@@ -28,6 +28,8 @@ from . import diagnostics, fluid as fluidmod, mesh as meshmod, solid as solidmod
 from . import sparsity
 from .errors import PreconditionError, SolverError
 from .kinematics import KinematicState, advance_flow_map
+from .material import Pairs
+from .pointwise import matvec
 from .spaces import FieldSpace, InterfaceData
 
 log = logging.getLogger(__name__)
@@ -180,7 +182,7 @@ class CoupledState:
 
     def q_qp(self):
         if "q_qp" not in self._cache:
-            self._cache["q_qp"] = self.problem.pspace.eval_qp(self.q)[:, :, 0]
+            self._cache["q_qp"] = self.problem.pspace.values([self.q])[0, 0]
         return self._cache["q_qp"]
 
 
@@ -201,8 +203,8 @@ def initial_state(problem, cfg, model, v0, w0, w1):
         )
     kin = KinematicState.initial(vs, iface)
     q0 = fluidmod.solve_initial_pressure(problem, v0, w0, model)
-    trac = model.traction(iface.solid_grad_qp(w0), iface.normal[:, None, :])
-    lam0 = iface.project(trac)
+    Dw = iface.gradients("solid", [w0])[:, :, 0]
+    lam0 = iface.project(matvec(model.pk1(Pairs([Dw])), iface.nu))
     rhs = iface.C_solid @ lam0 - solidmod.internal_force(model, ss, w0) - problem.M_solid @ w0
     # M_solid = M (x) I: solve the components as columns of the scalar factor
     lu = solidmod.lu_factor(ss.scalar_mass_matrix())

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import mesh as meshmod
 from .errors import FitDomainError, PreconditionError
-from .material import remainder_bracket
+from .material import Pairs, remainder_bracket
+from .pointwise import aat_pairing, cm, frob, matvec, mul_t
 from .spaces import FieldSpace
 
 CSV_COLUMNS = [
@@ -56,46 +57,48 @@ class EnergyReport:
         return [getattr(self, c) if c != "t" else self.t for c in CSV_COLUMNS]
 
 
-def _aaT_pairing(aaT, A, B):
-    """Pointwise sum_ijk aaT[j,k] A[i,k] B[i,j], i.e. <A aaT^T, B>."""
-    return ((A @ np.swapaxes(aaT, -1, -2)) * B).sum(axis=(-2, -1))
+def _integrals(wdet, u):
+    """Integrals of each level of samples u (K, n, nq) with weights wdet (n, nq)."""
+    return list((u * wdet).sum(axis=(-2, -1)))
 
 
-def _visc_form(space, aaT, Dv):
-    return space.integrate(_aaT_pairing(aaT, Dv, Dv))
+def _sq(wdet, u):
+    """Integrals of |u|^2 of each level of u, (components..., K, n, nq)."""
+    u = u.reshape(-1, *u.shape[-3:])
+    return _integrals(wdet, np.einsum("c...,c...->...", u, u))
+
+
+def _levels(grads):
+    """The Pairs of gradients (d, d, K, n, nq), one field per level."""
+    return Pairs(np.moveaxis(grads, 2, 0))
 
 
 def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     """The three volume pairings of the coefficient-rate perturbation:
-    <d_t(a a^T) Dv, Dv_t>, <a_t q, Dv_t> and <a_t q_t, Dv>."""
-    a_tT = np.swapaxes(a_t, -1, -2)
-    ra = space.integrate(_aaT_pairing(aaT_t, Dv, Dv1))
-    rb = space.integrate(q * (a_tT * Dv1).sum(axis=(-2, -1)))
-    rc = space.integrate(q_t * (a_tT * Dv).sum(axis=(-2, -1)))
+    <d_t(a a^T) Dv, Dv_t>, <a_t q, Dv_t> and <a_t q_t, Dv>; the matrix fields
+    are component-major, (d, d, nc, nq)."""
+    a_tT = a_t.swapaxes(0, 1)
+    ra = space.integrate(aat_pairing(Dv, aaT_t, Dv1))
+    rb = space.integrate(q * frob(a_tT, Dv1))
+    rc = space.integrate(q_t * frob(a_tT, Dv))
     return ra, rb, rc
-
-
-def _sq(space, u):
-    """Integral of |u|^2, u the values (c, q, k) or gradients (c, q, k, i) of a
-    field at the space's quadrature points."""
-    u = u.reshape(u.shape[0], u.shape[1], -1)
-    return space.integrate(np.einsum("cqk,cqk->cq", u, u))
 
 
 def compute_report(problem, model, cfg, states):
     """Build the EnergyReport for the newest state in `states` (oldest first).
 
     Each time derivative the ring supports, w^(0..4), v^(0..3) and
-    lambda^(1), is built once, and its values, L2 norm and gradient are
-    evaluated once; one loop over the levels j then forms V_j, D_j and the
-    pieces of the level-j balance integrand.
+    lambda^(0..1), is built once.  Each point set evaluates them once: one
+    values and one gradients call for the stacked levels.  The material
+    forms then share one table of symmetric pairs per point set, and one
+    loop over the levels j forms V_j, D_j and the pieces of the level-j
+    balance integrand.
     """
     st = states[-1]
     dt = cfg.dt
     gamma = cfg.gamma
     vs, ss = problem.vspace, problem.sspace
     iface = problem.interface
-    nu = iface.normal[:, None, :]
     rep = EnergyReport(st.time)
     g = rep.integrands
 
@@ -107,126 +110,120 @@ def compute_report(problem, model, cfg, states):
     rep.dist_aaT = bounds.sup_dist_aaT_identity
     rep.det_min = bounds.det_min
 
-    # -- the time derivatives, each evaluated once -------------------------------
+    # -- the time derivatives, each evaluated once per point set -----------------
     wtt = [s.wtt for s in states]
     w = [st.w, st.wt, st.wtt] + [backward_difference(wtt, k, dt) for k in (1, 2)]
     w = [f for f in w if f is not None]       # w^(k) for k < len(w)
     v = [backward_difference([s.v for s in states], j, dt) for j in range(4)]
     v = [f for f in v if f is not None]       # v^(j) for j < len(v)
-    nw = [_sq(ss, ss.eval_qp(f)) for f in w]
-    nv = [_sq(vs, vs.eval_qp(f)) for f in v]
-    Dw = [ss.grad_qp(f) for f in w[:4]]
-    Dw_f = [iface.solid_grad_qp(f) for f in w[:4]]
-    F = Dw[0] + np.eye(problem.mesh.dimension)
+    lam = [backward_difference([s.lam for s in states], j, dt) for j in range(min(2, len(v)))]
+    nw = _sq(ss.wdet, ss.values(w))
+    nv = _sq(vs.wdet, vs.values(v))
+    Dw = ss.gradients(w[:4])
+    Dv = vs.gradients(v)
+    vol, surf = _levels(Dw), _levels(iface.gradients("solid", w[:4]))
+    v_f = iface.values("fluid", v)
+    trac = list(np.moveaxis(iface.values("trace", lam), 1, 0))
+    visc = _integrals(vs.wdet, aat_pairing(Dv, cm(st.kin.aaT)[:, :, None], Dv))
+    gradsq = _sq(vs.wdet, Dv)
 
     # -- one pass over the levels ------------------------------------------------
-    aaT = st.kin.aaT
-    gradsq = []
-    Dv_prev = None
     for j in range(4):
         if j + 1 < len(w):
-            A = (model.secant_form(Dw[0], Dw[0], Dw[0]) if j == 0
-                 else model.d2_form(F, Dw[j], Dw[j]))
+            A = model.secant(vol, 0, 0) if j == 0 else model.form2(vol, j, j)
             Ve = 0.5 * (nw[j + 1] + nw[j] + ss.integrate(A))
             setattr(rep, f"V{j}e", Ve)
             setattr(rep, f"V{j}", Ve + 0.5 * nv[j] if j < len(v) else nan)
         if j >= len(v):
             break
-        if j < 2:
-            trac = iface.trace_qp(backward_difference([s.lam for s in states], j, dt))
-        else:
-            trac = model.linearized_traction(Dw_f[0], Dw_f[j], nu)
-        Dv = vs.grad_qp(v[j])
-        g[f"d{j}_visc"] = _visc_form(vs, aaT, Dv)
-        g[f"d{j}_bnd"] = iface.l2_norm_sq(trac)
+        if j >= 2:
+            trac.append(model.linearized_traction(surf, j, iface.nu))
+        g[f"d{j}_visc"] = visc[j]
+        g[f"d{j}_bnd"] = iface.l2_norm_sq(trac[j])
         setattr(rep, f"D{j}", g[f"d{j}_visc"] + gamma * g[f"d{j}_bnd"])
-        if j < 3:
-            gradsq.append(_sq(vs, Dv))
         if j == 0:
-            g["nw2"] = 0.5 * ss.integrate(model.nprime_form(Dw[0], Dw[1], Dw[0], Dw[0]))
+            g["nw2"] = 0.5 * ss.integrate(model.nprime(vol, 1, 0, 0))
         else:
-            g[f"d3w{j}"] = 0.5 * ss.integrate(model.d3_form(F, Dw[j], Dw[j], Dw[1]))
+            g[f"d3w{j}"] = 0.5 * ss.integrate(model.form3(vol, j, j, 1))
         if j == 1:
             # coefficient-rate couplings of the differentiated momentum balance
-            aaT_t = backward_difference([s.kin.aaT for s in states], 1, dt)
-            a_t = backward_difference([s.kin.a for s in states], 1, dt)
-            q_t = backward_difference([s.q_qp() for s in states], 1, dt)
-            ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, st.q_qp(), q_t, Dv_prev, Dv)
+            aaT_t = backward_difference([cm(s.kin.aaT) for s in states[-2:]], 1, dt)
+            a_t = backward_difference([cm(s.kin.a) for s in states[-2:]], 1, dt)
+            q_t = backward_difference([s.q_qp() for s in states[-2:]], 1, dt)
+            ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, st.q_qp(), q_t,
+                                                Dv[:, :, 0], Dv[:, :, 1])
             g["r1_term"] = -ra + rb - rc
         if j >= 2:
             # commutator remainder couplings r_{j-1}
             r = j - 1
-            rvec, r_nu = remainder(states, model, r, dt,
-                                   (Dw[0], Dw[1:j + 1], Dw_f[0], Dw_f[1:j + 1]))
+            rvec, r_nu = remainder(states, model, r, dt, (vol, surf))
             g[f"r{r}_vol_w{j + 1}"] = float(rvec @ w[j + 1])
-            g[f"r{r}_surf_v"] = iface.integrate((r_nu * iface.fluid_qp(v[j])).sum(axis=-1))
-            g[f"r{r}_surf_lam"] = iface.integrate((r_nu * trac).sum(axis=-1))
-        Dv_prev = Dv
+            g[f"r{r}_surf_v"] = iface.integrate((r_nu * v_f[:, j]).sum(axis=0))
+            g[f"r{r}_surf_lam"] = iface.integrate((r_nu * trac[j]).sum(axis=0))
 
     # -- totals ------------------------------------------------------------------
     rep.Q = rep.V0 + rep.V1 + rep.V2 + rep.V3
     if len(w) == 5:
         # E^e: broken Sobolev norms of w^(k) of order 4 - k, truncated at the
         # derivatives a P2 field represents (its Hessian is constant per cell)
+        H = ss.hess_cells(w[:3])
         vols = ss.wdet.sum(axis=1)
+        hsq = vols @ (H * H).reshape(len(vols), 3, -1).sum(axis=-1)
+        dsq = _sq(ss.wdet, Dw)
         Ee = 0.0
         for k in range(5):
-            part = nw[k]
-            if k < 4:
-                part += _sq(ss, Dw[k])
-            if k < 3:
-                H = ss.hess_cells(w[k])
-                part += float(np.sum(vols * np.einsum("ckij,ckij->c", H, H)))
-            Ee += part
+            Ee += nw[k] + (dsq[k] if k < 4 else 0.0) + (hsq[k] if k < 3 else 0.0)
         rep.Ee, rep.L = Ee, ledger_remainder(Ee)
     g["gradsq0"] = gradsq[0]
-    if len(gradsq) == 3:
+    if len(v) >= 3:
         g["gradsq1"], g["gradsq2"] = gradsq[1], gradsq[2]
         rep.X = rep.Q + cfg.epsilon1 * (gradsq[0] + gradsq[1] + gradsq[2])
 
-    rep.iface_vel, rep.iface_stress = interface_residual_values(st, model, gamma)
+    rep.iface_vel, rep.iface_stress = interface_residual_values(st, model, gamma, surf,
+                                                                v_f[:, 0])
     # one copy of each formatted key for all the reports a run keeps
     rep.integrands = {intern(k): x for k, x in g.items()}
     return rep
 
 
 def _div_functional(space, iface, delta_vol, delta_nu_facet):
-    """Weak functional of div(delta): -<delta, D phi> + <delta nu, phi>_Gc."""
-    wG = space.wdet[..., None, None] * space.gradq
-    elem = -(wG @ np.swapaxes(delta_vol, -1, -2)).sum(axis=1)
-    out = space.scatter_vector(elem.reshape(len(space.cells), -1))
-    surf = np.swapaxes(iface.wq[..., None] * iface.sval_cell, 1, 2) @ delta_nu_facet
+    """Weak functional of div(delta): -<delta, D phi> + <delta nu, phi>_Gc, of
+    the component-major delta (d, d, nc, nq) and delta nu (d, nfac, nqf)."""
+    nc, nloc, d, nq = space.gradt.shape
+    wG = (space.wdet[:, None, None, :] * space.gradt).reshape(nc, nloc, d * nq)
+    delta = np.ascontiguousarray(delta_vol.transpose(2, 1, 3, 0)).reshape(nc, d * nq, d)
+    out = space.scatter_vector(-(wG @ delta).reshape(nc, -1))
+    surf = np.swapaxes(iface.wq[..., None] * iface.sval_cell, 1, 2) @ np.moveaxis(
+        delta_nu_facet, 0, -1)
     vdofs = iface.solid_cell_dofs[:, :, None] * space.ncomp + np.arange(space.ncomp)
     np.add.at(out, vdofs.ravel(), np.ascontiguousarray(surf).ravel())
     return out
 
 
-def remainder(states, model, j, dt, grads=None):
+def remainder(states, model, j, dt, pairs=None):
     """Weak commutator remainder r_j and its interface trace r_{j,Gc}.
 
     Needs discrete time derivatives of w up to order j + 1; returns the
     functional over solid test functions and the facet-point values of the
-    bracketed tensor times nu.  A caller that already holds the gradients
-    passes them as `grads` = (Dw, rates, Dw_f, rates_f): Dw and the
-    gradients of w^(1..j+1) at solid quadrature points, then the same at
-    interface quadrature points; otherwise they are computed from `states`.
+    bracketed tensor times nu, component-major (d, nfac, nqf).  A caller that
+    already holds the gradients of w^(0..j+1) passes their Pairs tables at
+    the solid and at the interface quadrature points as `pairs`; otherwise
+    they are computed from `states`.
     """
     st = states[-1]
     problem = st.problem
     ss, iface = problem.sspace, problem.interface
-    if grads is None:
-        fields = [st.wt, st.wtt]
+    if pairs is None:
+        fields = [st.w, st.wt, st.wtt]
         if j == 2:
             w3 = backward_difference([s.wtt for s in states], 1, dt)
             if w3 is None:
                 raise PreconditionError("remainder at j=2 needs history depth >= 2")
             fields.append(w3)
-        grads = (ss.grad_qp(st.w), [ss.grad_qp(f) for f in fields],
-                 iface.solid_grad_qp(st.w), [iface.solid_grad_qp(f) for f in fields])
-    Dw, rates, Dw_f, rates_f = grads
-    delta = remainder_bracket(model, Dw, rates, j)
-    delta_f = remainder_bracket(model, Dw_f, rates_f, j)
-    r_nu = (delta_f @ iface.normal[:, None, :, None])[..., 0]
+        pairs = _levels(ss.gradients(fields)), _levels(iface.gradients("solid", fields))
+    vol, surf = pairs
+    delta = remainder_bracket(model, vol, j)
+    r_nu = matvec(remainder_bracket(model, surf, j), iface.nu)
     return _div_functional(ss, iface, delta, r_nu), r_nu
 
 
@@ -235,22 +232,27 @@ def ledger_remainder(Ee):
     return sum(Ee ** (k / 2) for k in range(3, 9))
 
 
-def interface_residual_values(state, model, gamma):
+def interface_residual_values(state, model, gamma, surf=None, v_f=None):
     """Velocity-matching L2 residual and stress-matching dual-norm residual
-    of the transmission conditions, with the elastic traction from w."""
-    problem = state.problem
-    iface = problem.interface
-    wt_qp = iface.solid_qp(state.wt)
-    v_qp = iface.fluid_qp(state.v)
-    trac = model.traction(iface.solid_grad_qp(state.w), iface.normal[:, None, :])
-    vel = np.sqrt(iface.l2_norm_sq(wt_qp - v_qp + gamma * trac))
-    Dv_f = iface.fluid_grad_qp(state.v)
-    q_f = iface.pressure_qp(state.q)
+    of the transmission conditions, with the elastic traction from w.
+
+    The report passes what it already holds: `surf`, Pairs whose field 0 is
+    the interface gradient of w, and `v_f`, the facet values (d, nfac, nqf)
+    of v; otherwise they are evaluated here.
+    """
+    iface = state.problem.interface
+    nu = iface.nu
+    if surf is None:
+        surf = _levels(iface.gradients("solid", [state.w]))
+    if v_f is None:
+        v_f = iface.values("fluid", [state.v])[:, 0]
+    trac = matvec(model.pk1(surf), nu)
+    vel = np.sqrt(iface.l2_norm_sq(iface.values("solid", [state.wt])[:, 0] - v_f + gamma * trac))
+    Dv_f = iface.gradients("fluid", [state.v])[:, :, 0]
+    q_f = iface.values("pressure", [state.q])[0, 0]
     # fluid traction Dv (a a^T)^T nu - q a^T nu at the facet points
-    nu = iface.normal[:, None, :, None]
     kin = state.kin
-    T_f = (Dv_f @ np.swapaxes(kin.aaT_facet, -1, -2) @ nu)[..., 0]
-    T_f = T_f - q_f[:, :, None] * (np.swapaxes(kin.a_facet, -1, -2) @ nu)[..., 0]
+    T_f = matvec(mul_t(Dv_f, cm(kin.aaT_facet)), nu) - q_f * matvec(cm(kin.a_facet).swapaxes(0, 1), nu)
     stress = iface.dual_norm(iface.functional(trac - T_f))
     return float(vel), float(stress)
 

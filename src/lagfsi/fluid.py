@@ -10,7 +10,6 @@ import numpy as np
 
 from . import kernels, mesh as meshmod
 from .errors import MeshDegenerationError
-from .kinematics import _min_eig_sym
 from .solid import lu_factor
 from .spaces import basis_values
 
@@ -51,7 +50,7 @@ def divergence_matrix(vspace, pspace, a):
 
 def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace):
     """Blocks of the implicit-Euler fluid step at the current flow map."""
-    margin = _min_eig_sym(kin.aaT).min()
+    margin = kin.min_ellip
     if margin <= 0:
         raise MeshDegenerationError(
             f"coefficient a a^T lost ellipticity (min eigenvalue {margin:.3e})"
@@ -95,8 +94,7 @@ def solve_initial_pressure(problem, v0, w0, model):
 
     # outer boundary: weak Neumann datum  Dq . nu = (div D v0) . nu,
     # with the Laplacian taken cellwise (piecewise constant for P2)
-    lap = vspace.hess_cells(v0)  # (nc, d, dd, dd)
-    lap = np.einsum("ckii->ck", lap)
+    lap = np.einsum("ckii->ck", vspace.hess_cells([v0])[:, 0])  # (nc, d)
     for ci, wq, nu, pvals in zip(*problem.outer_tables):
         g = lap[ci] @ nu
         contrib = np.einsum("q,qp->p", wq * g, pvals)

@@ -7,66 +7,54 @@
     a      (nc, nq, d, d)    inverse deformation gradient
     valp   (nq, np_)         pressure basis values
 
-Material kinds: 0 = linear-isotropic, 1 = Saint Venant-Kirchhoff.
+Material kinds: 0 = linear-isotropic, 1 = Saint Venant-Kirchhoff.  The
+stress law is `material.StressLaw`, evaluated on the component-major F - I.
 """
 
 import numpy as np
+
+from .material import Pairs, StressLaw
+from .pointwise import cm, cofactor3, mul_t, pm
 
 BACKEND = "python"  # reported as lagfsi.kernel_backend
 
 
 def inv_det(F):
-    """Batched inverse and determinant of 2x2 / 3x3 matrices (..., d, d)."""
+    """Batched inverse and determinant of 2x2 / 3x3 matrices (..., d, d),
+    entry by entry: the inverse keeps F's memory layout, so a point-major
+    view of component-major data gives one back."""
     F = np.asarray(F)
     d = F.shape[-1]
+    inv = np.empty_like(F)
     if d == 2:
         a, b = F[..., 0, 0], F[..., 0, 1]
         c, e = F[..., 1, 0], F[..., 1, 1]
         det = a * e - b * c
-        inv = np.empty_like(F)
         inv[..., 0, 0] = e
         inv[..., 0, 1] = -b
         inv[..., 1, 0] = -c
         inv[..., 1, 1] = a
-        inv /= det[..., None, None]
-        return inv, det
-    cof = np.empty_like(F)
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = F[..., r, :][..., :, c]
-            cof[..., i, j] = (-1) ** (i + j) * (
-                minor[..., 0, 0] * minor[..., 1, 1] - minor[..., 0, 1] * minor[..., 1, 0]
-            )
-    det = np.einsum("...ij,...ij->...", F[..., 0:1, :], cof[..., 0:1, :])
-    inv = np.swapaxes(cof, -1, -2) / det[..., None, None]
+    else:
+        X = cm(F)
+        for i in range(3):
+            for j in range(3):
+                inv[..., j, i] = cofactor3(X, i, j)
+        det = F[..., 0, 0] * inv[..., 0, 0] + F[..., 0, 1] * inv[..., 1, 0] + F[..., 0, 2] * inv[..., 2, 0]
+    inv /= det[..., None, None]
     return inv, det
 
 
-def _strain(F, kind):
-    d = F.shape[-1]
-    I = np.eye(d)
-    if kind == 1:
-        return 0.5 * (np.swapaxes(F, -1, -2) @ F - I)
-    Fm = F - I
-    return 0.5 * (Fm + np.swapaxes(Fm, -1, -2))
-
-
-def _stress(F, lam, mu, kind):
-    """lam tr(E) I + 2 mu E of the model's strain E."""
-    E = _strain(F, kind)
-    tr = np.trace(E, axis1=-2, axis2=-1)
-    return lam * tr[..., None, None] * np.eye(F.shape[-1]) + 2 * mu * E
+def _pairs(F):
+    """The Pairs table of the component-major F - I, from point-major F."""
+    Dw = np.ascontiguousarray(cm(np.asarray(F)))
+    for i in range(len(Dw)):
+        Dw[i, i] -= 1.0
+    return Pairs([Dw])
 
 
 def pk1(F, lam, mu, kind):
     """First derivative of the stored energy with respect to F."""
-    F = np.asarray(F)
-    S = _stress(F, lam, mu, kind)
-    if kind == 1:
-        return F @ S
-    return S
+    return np.ascontiguousarray(pm(StressLaw(lam, mu, kind).pk1(_pairs(F))))
 
 
 def _qsum(A, B):
@@ -104,12 +92,16 @@ def elem_tangent(F, G, wdet, lam, mu, kind):
         Q = mu * _qsum(w * G, G)
     else:
         FG = G @ np.swapaxes(F, -1, -2)
-        Q = _qsum((w * G) @ _stress(F, lam, mu, 1), G)
+        p = _pairs(F)
+        Q = _qsum((w * G) @ np.ascontiguousarray(pm(StressLaw(lam, mu, 1).stress(p))), G)
     M = _outer_qsum(w * FG, FG).reshape(nc, na, d, na, d)
     K = lam * M + mu * M.transpose(0, 1, 4, 3, 2)
     if kind == 1:
         gg = G @ np.swapaxes(G, -1, -2)                    # (nc, nq, na, na)
-        FFt = w * (F @ np.swapaxes(F, -1, -2))
+        Fc = p.X[0].copy()
+        for i in range(d):
+            Fc[i, i] += 1.0
+        FFt = w * np.ascontiguousarray(pm(mul_t(Fc, Fc)))
         K += mu * _outer_qsum(gg, FFt).reshape(nc, na, na, d, d).transpose(0, 1, 3, 2, 4)
     for i in range(d):
         K[:, :, i, :, i] += Q

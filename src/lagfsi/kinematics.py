@@ -14,7 +14,8 @@ import numpy as np
 
 from . import kernels
 from .errors import MeshDegenerationError
-from .spaces import _grad_at
+from .pointwise import cm, cofactor3, mul_t, pm
+from .spaces import _gradients
 
 log = logging.getLogger(__name__)
 
@@ -35,21 +36,28 @@ class BoundsReport:
         assert self.min_ellipticity >= 1 - self.sup_dist_aaT_identity - 1e-12
 
 
-def _grad_map(grads, disp_cells):
-    """D eta = I + D(eta - x) at the points of `grads` (n, nq, nloc, d) from
-    the displacement's element values (n, nloc, d).  The basis gradients sum
-    to zero, so each element's values are taken relative to its first node:
-    a translation then has D(eta - x) = 0 exactly."""
+def _grad_map(table, disp_cells):
+    """D eta = I + D(eta - x), component-major (d, d, n, nq), at the points
+    of the basis-gradient table (n, nloc, d, nq) from the displacement's
+    element values (n, nloc, d).  The basis gradients sum to zero, so each
+    element's values are taken relative to its first node: a translation then
+    has D(eta - x) = 0 exactly."""
     rel = disp_cells - disp_cells[:, :1]
-    return _grad_at(grads, rel) + np.eye(rel.shape[-1])
+    grad = _gradients(table, rel, rel.shape[-1])[:, :, 0]
+    for i in range(len(grad)):
+        grad[i, i] += 1.0
+    return grad
 
 
 class KinematicState:
     """Snapshot of (eta, D eta, a) at one time, sampled at quadrature points.
 
     The state is the displacement eta - x; D eta is I plus its gradient, so
-    no O(1) identity part is differentiated and cancelled.  Immutable after
-    construction; `advance_flow_map` returns a new state.
+    no O(1) identity part is differentiated and cancelled.  The matrix
+    fields are point-major views (..., d, d) of component-major data, so
+    `pointwise.cm` of each is contiguous; a a^T is formed entry by entry,
+    and so is the ellipticity floor, its least eigenvalue, once per state.
+    Immutable after construction; `advance_flow_map` returns a new state.
     """
 
     def __init__(self, space, interface, displacement, time):
@@ -58,26 +66,21 @@ class KinematicState:
         self.displacement = np.asarray(displacement, dtype=float)
         self.time = float(time)
         nodal = self.displacement.reshape(space.nscalar, space.dim)
-        grad = _grad_map(space.gradq, nodal[space.cell_dofs])      # (nc, nq, d, d)
-        a, det = kernels.inv_det(grad)
+        self.grad_eta, self.a, self.det, self.aaT, self.min_ellip = self._sample(
+            space.gradt, nodal[space.cell_dofs], "")
+        (self.grad_eta_facet, self.a_facet, self.det_facet, self.aaT_facet,
+         self.min_ellip_facet) = self._sample(
+            interface.fgrad, nodal[interface.fluid_cell_dofs], " on the interface")
+
+    def _sample(self, table, disp_cells, where):
+        grad = _grad_map(table, disp_cells)
+        a, det = kernels.inv_det(pm(grad))
         if det.min() <= 0:
             raise MeshDegenerationError(
-                f"det(D eta) <= 0 at t={time}: min {det.min():.3e}"
+                f"det(D eta) <= 0{where} at t={self.time}: min {det.min():.3e}"
             )
-        self.grad_eta = grad
-        self.a = a
-        self.det = det
-        self.aaT = a @ np.swapaxes(a, -1, -2)
-        gf = _grad_map(interface.fgrad, nodal[interface.fluid_cell_dofs])  # (nfac, nqf, d, d)
-        af, detf = kernels.inv_det(gf)
-        if detf.min() <= 0:
-            raise MeshDegenerationError(
-                f"det(D eta) <= 0 on the interface at t={time}"
-            )
-        self.grad_eta_facet = gf
-        self.a_facet = af
-        self.det_facet = detf
-        self.aaT_facet = af @ np.swapaxes(af, -1, -2)
+        aaT = pm(mul_t(cm(a), cm(a)))
+        return pm(grad), a, det, aaT, _min_eig_sym(aaT).min()
 
     @classmethod
     def initial(cls, space, interface):
@@ -96,32 +99,43 @@ def advance_flow_map(state, v, dt):
 
 
 def _min_eig_sym(M):
-    d = M.shape[-1]
-    if d == 2:
-        # cancellation-safe form: radius from the deviatoric part directly
-        mean = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
-        half_gap = 0.5 * (M[..., 0, 0] - M[..., 1, 1])
-        radius = np.sqrt(half_gap**2 + M[..., 0, 1] * M[..., 1, 0])
-        return mean - radius
-    return np.linalg.eigvalsh(M)[..., 0]
+    """Least eigenvalue of symmetric 2x2 / 3x3 matrices (..., d, d) in closed
+    form.  The spread is taken from the deviatoric part, its diagonal formed
+    from differences of diagonal entries, so near-identity input loses no
+    digits to cancellation."""
+    m = lambda i, j: M[..., i, j]
+    if M.shape[-1] == 2:
+        mean = 0.5 * (m(0, 0) + m(1, 1))
+        half_gap = 0.5 * (m(0, 0) - m(1, 1))
+        return mean - np.sqrt(half_gap**2 + m(0, 1) * m(1, 0))
+    # B = M - tr(M)/3 I has the eigenvalues 2p cos(phi + 2k pi/3), k = 0, 1, 2
+    B = [[m(i, j) if i != j else ((m(i, i) - m(i - 1, i - 1)) + (m(i, i) - m(i - 2, i - 2))) / 3
+          for j in range(3)] for i in range(3)]
+    p = np.sqrt(sum(B[i][j] ** 2 for i in range(3) for j in range(3)) / 6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = sum(B[0][j] * cofactor3(B, 0, j) for j in range(3))
+        phi = np.arccos(np.clip(np.where(p > 0, det / (2 * p**3), 0.0), -1.0, 1.0)) / 3
+        top = 2 * p * np.cos(phi)
+        # Where the least two nearly coincide (phi < pi/6) phi loses half its
+        # digits.  The top eigenvalue is isolated there: with P = v v^T its
+        # projector, adj(B - top I) / tr adj(B - top I), the least one is
+        # -top/2 - |B + top/2 I - 3/2 top P| / sqrt(2).
+        C = [[B[i][j] - top * (i == j) for j in range(3)] for i in range(3)]
+        scale = 1.5 * top / sum(cofactor3(C, i, i) for i in range(3))
+        spread = np.sqrt(sum((B[i][j] + 0.5 * top * (i == j) - scale * cofactor3(C, j, i)) ** 2
+                             for i in range(3) for j in range(3)) / 2)
+        least = np.where(phi < np.pi / 6, -0.5 * top - spread, 2 * p * np.cos(phi + 2 * np.pi / 3))
+    return (m(0, 0) + m(1, 1) + m(2, 2)) / 3 + least
 
 
 def kinematic_bounds_report(state):
     """Scan all quadrature points for the near-identity bounds; logs a
     warning when the coefficient distance exceeds NEAR_IDENTITY_EPSILON."""
-    d = state.space.dim
-    I = np.eye(d)
-
-    def stats(a, aaT, det):
-        da = np.linalg.norm(a - I, axis=(-2, -1)).max()
-        daaT = np.linalg.norm(aaT - I, axis=(-2, -1)).max()
-        ell = _min_eig_sym(aaT).min()
-        return da, daaT, ell, det.min()
-
-    da1, daaT1, ell1, det1 = stats(state.a, state.aaT, state.det)
-    da2, daaT2, ell2, det2 = stats(state.a_facet, state.aaT_facet, state.det_facet)
+    I = np.eye(state.space.dim)
+    dist = lambda X: np.linalg.norm(X - I, axis=(-2, -1)).max()
     rep = BoundsReport(
-        max(da1, da2), max(daaT1, daaT2), min(ell1, ell2), min(det1, det2)
+        max(dist(state.a), dist(state.a_facet)), max(dist(state.aaT), dist(state.aaT_facet)),
+        min(state.min_ellip, state.min_ellip_facet), min(state.det.min(), state.det_facet.min()),
     )
     if rep.sup_dist_aaT_identity > NEAR_IDENTITY_EPSILON:
         log.warning(

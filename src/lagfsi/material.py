@@ -11,16 +11,20 @@ Two models ship:
 Both satisfy the equilibrium condition DW(I) = 0 and strong ellipticity
 at the identity with margin mu (checked at construction).
 
-Derivatives are exposed as contracted matrix and scalar forms
-(``d2_contract`` ...), which assembly and the energy report use.
-Contraction slot order never matters: all derivative tensors of a scalar
-function are fully symmetric in their matrix slots.
+Every derivative is a pairing psi''(X, Y) = lam tr X tr Y + 2 mu X : Y of
+symmetric pairs s(X, Y) = sym(X^T Y), or a product with c(s) = lam tr(s) I
++ 2 mu s, evaluated on component-major fields (see `pointwise`).  A `Pairs`
+table forms each pair of its fields once, so the energy report shares them
+across all its forms; the point-major methods (``d2_form`` ...) wrap the
+same forms for single arrays.  Contraction slot order never matters: all
+derivative tensors of a scalar function are fully symmetric in their
+matrix slots.
 """
 
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import _strain, _stress, pk1
+from .pointwise import cm, frob, matvec, mul, pair, pm, sym, tr
 
 # 2-point Gauss-Legendre rule on [0, 1]: exact for cubics in s
 GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
@@ -29,21 +33,84 @@ GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 KINDS = {"linear-isotropic": 0, "saint-venant-kirchhoff": 1}
 
 
-def _sym(M):
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+class Pairs:
+    """A base displacement gradient X_0 = Dw and directions X_1, X_2, ...
+    (component-major), with their symmetric pairs s(X_a, X_b) = sym(X_a^T X_b)
+    and parts sym X_a, each formed once on first use.
+
+    Every form below is a psi'' pairing of these: with F = I + Dw,
+    s(F, X) = sym X + s(Dw, X) and E(F) = sym Dw + s(Dw, Dw) / 2.
+    """
+
+    def __init__(self, grads):
+        self.X = list(grads)
+        self._s = {}
+
+    @classmethod
+    def of(cls, *grads):
+        """Pairs of point-major arrays (..., d, d), broadcast against each other."""
+        return cls(cm(X) for X in np.broadcast_arrays(*(np.asarray(X, dtype=float) for X in grads)))
+
+    def sym(self, a):
+        if ("sym", a) not in self._s:
+            self._s["sym", a] = sym(self.X[a])
+        return self._s["sym", a]
+
+    def s(self, a, b):
+        key = (min(a, b), max(a, b))
+        if key not in self._s:
+            self._s[key] = pair(self.X[key[0]], self.X[key[1]])
+        return self._s[key]
 
 
-def _tr(M):
-    return np.trace(M, axis1=-2, axis2=-1)
+class StressLaw:
+    """The isotropic law of one model on `Pairs` tables: psi'', the tensor c,
+    the strain, the stress S = c(E) and DW = F S; F = I + scale Dw with Dw
+    the table's field 0.  The assembly kernels use it with their own Lame
+    parameters, `MaterialModel` adds the higher derivatives."""
+
+    def __init__(self, lam, mu, svk):
+        self.lam = float(lam)
+        self.mu = float(mu)
+        self._svk = svk
+
+    def psi2(self, X, Y):
+        """psi''(X, Y) = lam tr X tr Y + 2 mu X : Y."""
+        return self.lam * tr(X) * tr(Y) + 2 * self.mu * frob(X, Y)
+
+    def c(self, X):
+        """The isotropic tensor on a symmetric X: lam tr(X) I + 2 mu X."""
+        out = 2 * self.mu * X
+        t = self.lam * tr(X)
+        for i in range(len(X)):
+            out[i, i] += t
+        return out
+
+    def _sF(self, p, a, scale):
+        """s(F, X_a); sym X_a for the linear model."""
+        return p.sym(a) + scale * p.s(0, a) if self._svk else p.sym(a)
+
+    def strain(self, p, scale=1.0):
+        """E(F): sym Dw + s(Dw, Dw) / 2, or sym Dw for the linear model."""
+        E = scale * p.sym(0)
+        return E + 0.5 * scale**2 * p.s(0, 0) if self._svk else E
+
+    def stress(self, p, scale=1.0):
+        """S(F) = c(E(F))."""
+        return self.c(self.strain(p, scale))
+
+    def pk1(self, p):
+        """DW(F) = F S(F); S for the linear model."""
+        S = self.stress(p)
+        return S + mul(p.X[0], S) if self._svk else S
 
 
-def _tmul(A, B):
-    """A^T B over the last two axes."""
-    return np.swapaxes(A, -1, -2) @ B
-
-
-class MaterialModel:
+class MaterialModel(StressLaw):
     """Stored-energy function with derivative evaluators up to order 4.
+
+    The forms act on `Pairs` tables: index 0 is the base displacement
+    gradient, F = I + scale Dw, and the other indices are the directions.
+    The point-major methods (``d2_form`` ...) wrap them for single arrays.
 
     Parameters
     ----------
@@ -58,116 +125,112 @@ class MaterialModel:
             raise ConfigError(f"unknown material kind {kind!r}")
         if mu <= 0 or lam < 0:
             raise ConfigError("material requires mu > 0 and lambda >= 0")
+        super().__init__(lam, mu, KINDS[kind])
         self.kind = kind
-        self._svk = KINDS[kind]
-        self.lam = float(lam)
-        self.mu = float(mu)
         # equilibrium at the identity, checked numerically
         for d in (2, 3):
             res = np.linalg.norm(self.piola_stress(np.eye(d)))
             if res > 1e-12:
                 raise ConfigError(f"model violates DW(I)=0, residual {res}")
 
-    # -- scalar and first derivative -------------------------------------------
+    # -- the derivative forms on pairs (component-major) -------------------------
 
-    def _cmul(self, A):
-        """Apply the isotropic tensor: lam tr(A) I + 2 mu sym(A)."""
-        d = A.shape[-1]
-        I = np.eye(d)
-        return self.lam * _tr(A)[..., None, None] * I + 2 * self.mu * _sym(A)
+    def form2(self, p, a, b, scale=1.0):
+        """D^2W(F)(X_a, X_b) = psi''(s(F,X_a), s(F,X_b)) + S(F) : s(X_a, X_b)."""
+        out = self.psi2(self._sF(p, a, scale), self._sF(p, b, scale))
+        if self._svk:
+            out = out + self.psi2(self.strain(p, scale), p.s(a, b))
+        return out
 
-    def energy_density(self, F):
-        E = _strain(np.asarray(F, dtype=float), self._svk)
-        return 0.5 * self.lam * _tr(E) ** 2 + self.mu * np.einsum("...ij,...ij->...", E, E)
-
-    def piola_stress(self, F):
-        """DW(F); equals F S(F) for the quadratic-strain model."""
-        return pk1(np.asarray(F, dtype=float), self.lam, self.mu, self._svk)
-
-    def second_pk(self, F):
-        return _stress(F, self.lam, self.mu, self._svk)
-
-    # -- contracted higher derivatives ------------------------------------------
-
-    def d2_contract(self, F, G):
-        """Matrix l_G D^2W(F)."""
-        F = np.asarray(F, dtype=float)
-        G = np.asarray(G, dtype=float)
+    def form3(self, p, a, b, c, scale=1.0):
+        """D^3W(F)(X_a, X_b, X_c), a sum of psi'' over the three pairings."""
         if not self._svk:
-            return self._cmul(G)
-        S = self.second_pk(F)
-        return F @ self._cmul(_tmul(F, G)) + G @ S
+            return np.zeros(p.X[0].shape[2:])
+        psi, s = self.psi2, p.s
+        return (psi(s(a, b), self._sF(p, c, scale)) + psi(s(a, c), self._sF(p, b, scale))
+                + psi(s(b, c), self._sF(p, a, scale)))
 
-    def d3_contract(self, F, G, H):
-        """Matrix l_H l_G D^3W(F)."""
+    def contract2(self, p, a, scale=1.0):
+        """Matrix l_{X_a} D^2W(F) = F c(s(F, X_a)) + X_a S(F)."""
+        C = self.c(self._sF(p, a, scale))
         if not self._svk:
-            return np.zeros(np.broadcast(np.asarray(G), np.asarray(H)).shape)
-        F, G, H = (np.asarray(M, dtype=float) for M in (F, G, H))
-        c = self._cmul
-        return H @ c(_tmul(F, G)) + F @ c(_tmul(H, G)) + G @ c(_tmul(F, H))
+            return C
+        return C + scale * mul(p.X[0], C) + mul(p.X[a], self.stress(p, scale))
 
-    def d4_contract(self, G, H, K):
-        """Matrix l_K l_H l_G D^4W (independent of F)."""
+    def contract3(self, p, a, b, scale=1.0):
+        """Matrix l_{X_b} l_{X_a} D^3W(F)."""
         if not self._svk:
-            return np.zeros(np.broadcast(np.asarray(G), np.asarray(H)).shape)
-        G, H, K = (np.asarray(M, dtype=float) for M in (G, H, K))
-        c = self._cmul
-        return H @ c(_tmul(K, G)) + K @ c(_tmul(H, G)) + G @ c(_tmul(K, H))
+            return np.zeros(p.X[0].shape)
+        Cab = self.c(p.s(a, b))
+        return (mul(p.X[b], self.c(self._sF(p, a, scale))) + Cab + scale * mul(p.X[0], Cab)
+                + mul(p.X[a], self.c(self._sF(p, b, scale))))
 
-    def d2_form(self, F, G, H):
-        """Scalar D^2W(F)(G, H)."""
-        return np.einsum("...ib,...ib->...", self.d2_contract(F, G), np.asarray(H, dtype=float))
+    def contract4(self, p, a, b, c):
+        """Matrix l_{X_c} l_{X_b} l_{X_a} D^4W (independent of F)."""
+        if not self._svk:
+            return np.zeros(p.X[0].shape)
+        X, s = p.X, p.s
+        return mul(X[b], self.c(s(c, a))) + mul(X[c], self.c(s(b, a))) + mul(X[a], self.c(s(c, b)))
 
-    def d3_form(self, F, A, B, C):
-        """Scalar D^3W(F)(A, B, C)."""
-        return np.einsum("...ib,...ib->...", self.d3_contract(F, A, B), np.asarray(C, dtype=float))
-
-    # -- secant (averaged Hessian) forms ----------------------------------------
     # D^2W is at most quadratic and D^3W affine in F for both models, so the
     # s-integrals below are exact: 2-point Gauss for the secant forms, and
     # int_0^1 s D^3W(I + s Dw) ds = 1/2 D^3W(I + 2/3 Dw) for the rates.
 
+    def secant(self, p, a, b):
+        """int_0^1 D^2W(I + s Dw)(X_a, X_b) ds."""
+        return sum(w * self.form2(p, a, b, s) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
+
+    def nprime(self, p, a, b, c):
+        """s-weighted secant rate: int_0^1 s D^3W(I + s Dw)(X_a, X_b, X_c) ds."""
+        return 0.5 * self.form3(p, a, b, c, 2.0 / 3.0)
+
+    def linearized_traction(self, p, a, nu):
+        """(l_{X_a} D^2W(F)) nu, nu a component-major vector field."""
+        return matvec(self.contract2(p, a), nu)
+
+    # -- the same forms on point-major arrays (..., d, d): F = I + Dw --------------
+
+    def energy_density(self, F):
+        E = self.strain(Pairs.of(_minus_identity(F)))
+        return 0.5 * self.psi2(E, E)
+
+    def piola_stress(self, F):
+        return pm(self.pk1(Pairs.of(_minus_identity(F))))
+
+    def d2_contract(self, F, G):
+        return pm(self.contract2(Pairs.of(_minus_identity(F), G), 1))
+
+    def d3_contract(self, F, G, H):
+        return pm(self.contract3(Pairs.of(_minus_identity(F), G, H), 1, 2))
+
+    def d4_contract(self, G, H, K):
+        return pm(self.contract4(Pairs.of(G, G, H, K), 1, 2, 3))
+
+    def d2_form(self, F, G, H):
+        return self.form2(Pairs.of(_minus_identity(F), G, H), 1, 2)
+
+    def d3_form(self, F, A, B, C):
+        return self.form3(Pairs.of(_minus_identity(F), A, B, C), 1, 2, 3)
+
     def secant_form(self, Dw, G, H):
-        """int_0^1 D^2W(I + s Dw)(G, H) ds."""
-        Dw = np.asarray(Dw, dtype=float)
-        I = np.eye(Dw.shape[-1])
-        return sum(w * self.d2_form(I + s * Dw, G, H) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
+        return self.secant(Pairs.of(Dw, G, H), 1, 2)
 
     def secant_contract(self, Dw, G):
         """Matrix l_G N_w; reproduces DW(I + Dw) at G = Dw."""
-        Dw = np.asarray(Dw, dtype=float)
-        I = np.eye(Dw.shape[-1])
-        return sum(w * self.d2_contract(I + s * Dw, G) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
+        p = Pairs.of(Dw, G)
+        return pm(sum(w * self.contract2(p, 1, s) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS)))
 
     def nprime_form(self, Dw, A, B, C):
-        """s-weighted secant rate: int_0^1 s D^3W(I + s Dw)(A, B, C) ds."""
-        if not self._svk:
-            return np.zeros(np.asarray(A, dtype=float).shape[:-2])
-        Dw = np.asarray(Dw, dtype=float)
-        return 0.5 * self.d3_form(np.eye(Dw.shape[-1]) + (2.0 / 3.0) * Dw, A, B, C)
+        return self.nprime(Pairs.of(Dw, A, B, C), 1, 2, 3)
 
     def nprime_contract(self, Dw, G, H):
-        """Matrix-valued s-weighted secant rate int_0^1 s l_H l_G D^3W(I + s Dw) ds."""
-        if not self._svk:
-            return np.zeros(np.asarray(G, dtype=float).shape)
-        Dw = np.asarray(Dw, dtype=float)
-        return 0.5 * self.d3_contract(np.eye(Dw.shape[-1]) + (2.0 / 3.0) * Dw, G, H)
-
-    # -- tractions ---------------------------------------------------------------
+        """int_0^1 s l_H l_G D^3W(I + s Dw) ds."""
+        return pm(0.5 * self.contract3(Pairs.of(Dw, G, H), 1, 2, 2.0 / 3.0))
 
     def traction(self, Dw, nu):
         """Interface traction DW(Dw + I) nu."""
-        Dw = np.asarray(Dw, dtype=float)
-        d = Dw.shape[-1]
-        P = self.piola_stress(Dw + np.eye(d))
-        return np.einsum("...ia,...a->...i", P, np.asarray(nu, dtype=float))
-
-    def linearized_traction(self, Dw_base, Dphi, nu):
-        """(l_{Dphi} D^2W(Dw_base + I)) nu."""
-        Dw_base = np.asarray(Dw_base, dtype=float)
-        d = Dw_base.shape[-1]
-        M = self.d2_contract(Dw_base + np.eye(d), Dphi)
-        return np.einsum("...ia,...a->...i", M, np.asarray(nu, dtype=float))
+        P = self.pk1(Pairs.of(Dw))
+        return np.moveaxis(matvec(P, np.moveaxis(np.asarray(nu, dtype=float), -1, 0)), 0, -1)
 
     # -- hypothesis checks ---------------------------------------------------------
 
@@ -223,8 +286,14 @@ def make_material(kind, lam=1.0, mu=1.0):
     return MaterialModel(kind, lam, mu)
 
 
-def remainder_bracket(model, Dw, rates, j):
-    """Pointwise matrix C^(j+1) - l_{Dw^(j+1)} D^2W(Dw + I) for j in {1, 2}.
+def _minus_identity(F):
+    F = np.asarray(F, dtype=float)
+    return F - np.eye(F.shape[-1])
+
+
+def remainder_bracket(model, pairs, j):
+    """Pointwise matrix C^(j+1) - l_{Dw^(j+1)} D^2W(Dw + I) for j in {1, 2},
+    with Dw and the rate gradients Dw^(1..j+1) as the fields of `pairs`.
 
     This is the commutator between time-differentiating the nonlinear
     stress and the frozen-coefficient linearized operator; only derivative
@@ -233,12 +302,8 @@ def remainder_bracket(model, Dw, rates, j):
     """
     if j not in (1, 2):
         raise ConfigError("remainder defined for j in {1, 2}")
-    if len(rates) < j + 1:
+    if len(pairs.X) < j + 2:
         raise ConfigError(f"remainder at j={j} needs {j + 1} rate fields")
-    Dw = np.asarray(Dw, dtype=float)
-    d = Dw.shape[-1]
-    F = Dw + np.eye(d)
-    G = [np.asarray(r, dtype=float) for r in rates]
     if j == 1:
-        return model.d3_contract(F, G[0], G[0])
-    return 3 * model.d3_contract(F, G[0], G[1]) + model.d4_contract(G[0], G[0], G[0])
+        return model.contract3(pairs, 1, 1)
+    return 3 * model.contract3(pairs, 1, 2) + model.contract4(pairs, 1, 1, 1)

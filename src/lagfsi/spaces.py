@@ -8,6 +8,7 @@ Vector dofs interleave components node-major: dof = scalar_dof * ncomp + comp.
 import numpy as np
 
 from . import mesh as meshmod
+from .pointwise import pm
 from .quadrature import facet_rule, simplex_rule
 from .solid import lu_factor
 from .sparsity import Assembly, element_pattern, expand, expand_diagonal
@@ -32,10 +33,30 @@ def _local_edges(dim):
     return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def _grad_at(grads, u):
-    """Field gradients (n, nq, ncomp, d) from basis gradients (n, nq, nloc, d)
-    and cell nodal values (n, nloc, ncomp): u^T @ grads at every point."""
-    return np.swapaxes(u, 1, 2)[:, None] @ grads
+# The batched evaluators below return component-major arrays (see
+# `pointwise`): K fields cost one gather and one product per point set.
+
+def _gather(fields, nnodes, cell_dofs):
+    """Cell nodal values (n, nloc, K*ncomp) of K dof vectors over `nnodes`
+    nodes, field-major along the last axis."""
+    X = np.stack([np.reshape(f, (nnodes, -1)) for f in fields], axis=1)
+    return X.reshape(nnodes, -1)[cell_dofs]
+
+
+def _values(val, U, ncomp):
+    """Values (ncomp, K, n, nq) from the basis values `val`, (nq, nloc) or
+    (n, nq, nloc), and the cell values U (n, nloc, K*ncomp)."""
+    out = val @ U                                              # (n, nq, K*ncomp)
+    n, nq = out.shape[:2]
+    return np.ascontiguousarray(out.reshape(n, nq, -1, ncomp).transpose(3, 2, 0, 1))
+
+
+def _gradients(table, U, ncomp):
+    """Gradients (ncomp, d, K, n, nq) from the basis gradients as the table
+    (n, nloc, d, nq) and the cell values U (n, nloc, K*ncomp)."""
+    n, nloc, d, nq = table.shape
+    out = np.swapaxes(U, 1, 2) @ table.reshape(n, nloc, d * nq)   # (n, K*ncomp, d*nq)
+    return np.ascontiguousarray(out.reshape(n, -1, ncomp, d, nq).transpose(2, 3, 1, 0, 4))
 
 
 def basis_values(dim, degree, pts):
@@ -149,6 +170,7 @@ class FieldSpace:
         self.Jinv = Jinv
         # physical gradients: grad phi = Jinv^T grad_ref phi
         self.gradq = gref @ Jinv[:, None]                     # (ncr, nq, nloc, d)
+        self.gradt = np.ascontiguousarray(self.gradq.transpose(0, 2, 3, 1))  # (ncr, nloc, d, nq)
         self.wdet = qw[None, :] * detJ[:, None]               # (ncr, nq)
         self.xq = verts[:, 0][:, None, :] + qp @ np.swapaxes(J, 1, 2)
         Href = basis_hessians(d, self.degree)                 # (nloc, d, d)
@@ -188,27 +210,32 @@ class FieldSpace:
     def _as_nodal(self, dofs):
         return np.asarray(dofs).reshape(self.nscalar, self.ncomp)
 
-    def eval_qp(self, dofs):
-        u = self._as_nodal(dofs)[self.cell_dofs]              # (ncr, nloc, ncomp)
-        return self.val @ u
-
     def grad_qp(self, dofs):
-        return _grad_at(self.gradq, self._as_nodal(dofs)[self.cell_dofs])
+        """Gradient of one field, point-major and contiguous: (ncr, nq, ncomp, d)."""
+        return np.ascontiguousarray(pm(self.gradients([dofs])[:, :, 0]))
 
-    def hess_cells(self, dofs):
-        """Second derivatives, constant per cell: (ncr, ncomp, d, d)."""
-        u = self._as_nodal(dofs)[self.cell_dofs]
+    def values(self, fields):
+        """Values (ncomp, K, ncr, nq) of K fields at the quadrature points."""
+        return _values(self.val, _gather(fields, self.nscalar, self.cell_dofs), self.ncomp)
+
+    def gradients(self, fields):
+        """Gradients (ncomp, d, K, ncr, nq) of K fields at the quadrature points."""
+        return _gradients(self.gradt, _gather(fields, self.nscalar, self.cell_dofs), self.ncomp)
+
+    def hess_cells(self, fields):
+        """Second derivatives of K fields, constant per cell: (ncr, K, ncomp, d, d)."""
+        u = _gather(fields, self.nscalar, self.cell_dofs)
         nc, d = len(self.cells), self.dim
         return (np.swapaxes(u, 1, 2) @ self.hessq.reshape(nc, self.nloc, d * d)).reshape(
-            nc, self.ncomp, d, d)
+            nc, len(fields), self.ncomp, d, d)
 
     def integrate(self, values_qp):
         """Integrate scalar values sampled at quadrature points."""
         return float(np.sum(self.wdet * values_qp))
 
     def l2_norm_sq(self, dofs):
-        vals = self.eval_qp(dofs)
-        return self.integrate(np.einsum("cqk,cqk->cq", vals, vals))
+        u = self.values([dofs])[:, 0]
+        return self.integrate((u * u).sum(axis=0))
 
     # -- assembly helpers ------------------------------------------------------
 
@@ -311,6 +338,7 @@ class InterfaceData:
         self.xq, self.wq = mesh.facet_quadrature(self.facets)
         self.nqf = self.wq.shape[1]
         self.normal = mesh.facet_normal[self.facets]
+        self.nu = np.ascontiguousarray(self.normal.T)[:, :, None]  # (d, nfac, 1)
 
         # facet-intrinsic P2 basis at the quadrature points
         qp, _ = facet_rule(self.dim, meshmod.FACET_QUAD_DEGREE)
@@ -330,11 +358,20 @@ class InterfaceData:
         self.solid_cell = np.searchsorted(ss.cells, sc)
         self.fluid_cell_dofs = fs.cell_dofs[self.fluid_cell]
         self.solid_cell_dofs = ss.cell_dofs[self.solid_cell]
-        self.fval_cell, self.fgrad = fs.basis_at(self.fluid_cell, self.xq)
-        self.sval_cell, self.sgrad = ss.basis_at(self.solid_cell, self.xq)
+        self.fval_cell, fgrad = fs.basis_at(self.fluid_cell, self.xq)
+        self.sval_cell, sgrad = ss.basis_at(self.solid_cell, self.xq)
+        self.fgrad = np.ascontiguousarray(fgrad.transpose(0, 2, 3, 1))
         # the pressure space lives on the fluid cells, in the same local order
-        self.pressure_cell_dofs = ps.cell_dofs[self.fluid_cell]
-        self.pval_cell, _ = ps.basis_at(self.fluid_cell, self.xq)
+        pval_cell, _ = ps.basis_at(self.fluid_cell, self.xq)
+        # side -> (nodes, cell dofs, basis values, basis-gradient table) of the
+        # fields evaluated at the facet points
+        self._sides = {
+            "fluid": (fs.nscalar, self.fluid_cell_dofs, self.fval_cell, self.fgrad),
+            "solid": (ss.nscalar, self.solid_cell_dofs, self.sval_cell,
+                      np.ascontiguousarray(sgrad.transpose(0, 2, 3, 1))),
+            "pressure": (ps.nscalar, ps.cell_dofs[self.fluid_cell], pval_cell, None),
+            "trace": (self.ntr, self.facet_trace, self.fval, None),
+        }
 
     def _build_mass(self):
         elem = np.swapaxes(self.wq[:, :, None] * self.fval, 1, 2) @ self.fval
@@ -359,37 +396,31 @@ class InterfaceData:
 
     # -- evaluation ------------------------------------------------------------
 
-    def trace_qp(self, lam):
-        """Trace field values at facet quadrature points: (nfac, nqf, ncomp)."""
-        u = np.asarray(lam).reshape(self.ntr, self.ncomp)[self.facet_trace]
-        return self.fval @ u
+    def values(self, side, fields):
+        """Values (ncomp, K, nfac, nqf) at the facet points of K fields of the
+        `side` space: 'fluid', 'solid', 'pressure' or 'trace'."""
+        nodes, dofs, val, _ = self._sides[side]
+        U = _gather(fields, nodes, dofs)
+        return _values(val, U, U.shape[-1] // len(fields))
 
-    def fluid_qp(self, dofs):
-        return self.fval_cell @ self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs]
-
-    def fluid_grad_qp(self, dofs):
-        return _grad_at(self.fgrad, self.fluid_space._as_nodal(dofs)[self.fluid_cell_dofs])
-
-    def solid_qp(self, dofs):
-        return self.sval_cell @ self.solid_space._as_nodal(dofs)[self.solid_cell_dofs]
-
-    def solid_grad_qp(self, dofs):
-        return _grad_at(self.sgrad, self.solid_space._as_nodal(dofs)[self.solid_cell_dofs])
-
-    def pressure_qp(self, dofs):
-        u = np.asarray(dofs)[self.pressure_cell_dofs]
-        return (self.pval_cell @ u[:, :, None])[..., 0]
+    def gradients(self, side, fields):
+        """Gradients (ncomp, d, K, nfac, nqf) of K fields of the 'fluid' or
+        'solid' space at the facet points."""
+        nodes, dofs, _, table = self._sides[side]
+        U = _gather(fields, nodes, dofs)
+        return _gradients(table, U, U.shape[-1] // len(fields))
 
     def integrate(self, values_qp):
         """Integrate scalar samples (nfac, nqf) over the interface."""
         return float(np.sum(self.wq * values_qp))
 
     def l2_norm_sq(self, values_qp):
-        return self.integrate(np.einsum("kqc,kqc->kq", values_qp, values_qp))
+        """Integral of |u|^2 of samples (ncomp, nfac, nqf)."""
+        return self.integrate((values_qp * values_qp).sum(axis=0))
 
     def functional(self, values_qp):
-        """Trace-space dual vector of samples (nfac, nqf, ncomp)."""
-        elem = self.fval.T @ (self.wq[:, :, None] * values_qp)
+        """Trace-space dual vector of samples (ncomp, nfac, nqf)."""
+        elem = np.moveaxis((self.wq * values_qp) @ self.fval, 0, -1)   # (nfac, nloc, ncomp)
         out = np.zeros(self.nlam)
         vdofs = self.facet_trace[:, :, None] * self.ncomp + np.arange(self.ncomp)
         np.add.at(out, vdofs.ravel(), elem.ravel())

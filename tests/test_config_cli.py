@@ -90,6 +90,19 @@ def test_cli_run_rejects_check_kinds(tmp_path, capsys):
         assert "experiment.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "t_end = inf", "dt = inf", "gamma = inf", "viscosity = inf", "material.lambda = inf",
+])
+def test_cli_run_rejects_non_finite(tmp_path, capsys, line):
+    # a non-finite float is a configuration error naming its key, not a
+    # solver failure, a traceback or a run of one report
+    path = _write(tmp_path, "inf.cfg", f"resolution = 4\n{line}\n"
+                  f"output.csv = {tmp_path / 'inf.csv'}\n")
+    assert cli.main(["run", path]) == 1
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "inf.csv").exists()
+
+
 def test_cli_missing_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "none.cfg")]) == 1
 

@@ -44,8 +44,8 @@ def test_zero_data_stays_zero():
 def test_gamma_zero_matches_velocities():
     reports, state = _small_run(gamma=0.0, kind=LIN, t_end=0.05)
     iface = state.problem.interface
-    wt = iface.solid_qp(state.wt)
-    v = iface.fluid_qp(state.v)
+    wt = iface.values("solid", [state.wt])[:, 0]
+    v = iface.values("fluid", [state.v])[:, 0]
     assert np.sqrt(iface.l2_norm_sq(wt - v)) <= 1e-12
 
 
@@ -121,7 +121,7 @@ def test_interface_residuals_equilibrium_and_perturbation():
         delta[2 * dof:2 * dof + 2] = vals[i]
     z.v = z.v + delta
     vel1, _ = interface_residual_values(z, model, 0.0)
-    norm_delta = np.sqrt(iface.l2_norm_sq(iface.fluid_qp(delta)))
+    norm_delta = np.sqrt(iface.l2_norm_sq(iface.values("fluid", [delta])[:, 0]))
     assert vel1 == pytest.approx(norm_delta, rel=1e-12)
 
 

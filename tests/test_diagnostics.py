@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lagfsi import spaces
 from lagfsi.config import RunConfig
 from lagfsi.coupling import CoupledProblem, CoupledState, run_simulation
 from lagfsi.diagnostics import (
@@ -14,10 +15,10 @@ from lagfsi.diagnostics import (
 from lagfsi.errors import FitDomainError
 from lagfsi.kinematics import KinematicState
 from lagfsi.manufactured import constant_displacement, sin_quadratic_displacement
-from lagfsi.material import make_material
+from lagfsi.material import Pairs, make_material
 from lagfsi.mesh import SOLID, build_annular_mesh
+from lagfsi.pointwise import cm
 from lagfsi.solid import NEWMARK_BETA, NEWMARK_GAMMA, stiffness_matrix
-from lagfsi.spaces import FieldSpace
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -239,7 +240,7 @@ def test_coefficient_rate_terms_symbolic(problem):
     Dv[..., 0, 0] = 2.0      # d_x v_x = 2
     Dv1 = np.zeros((nc, nq, 2, 2))
     Dv1[..., 0, 1] = 3.0     # d_y (v_t)_x = 3
-    ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, q, q_t, Dv, Dv1)
+    ra, rb, rc = coefficient_rate_terms(vs, cm(aaT_t), cm(a_t), q, q_t, cm(Dv), cm(Dv1))
     # ra = int x * (aaT_t[j=1,k=0] Dv[x,0] Dv1[x,1]) = int 6x dx
     x_int = vs.integrate(x[..., 0])
     y_int = vs.integrate(x[..., 1])
@@ -458,7 +459,7 @@ def test_report_contractions_match_einsum(problem, run60):
     nc, nq = vs.xq.shape[:2]
     aaT_t, a_t, Dv, Dv1 = rng.standard_normal((4, nc, nq, 2, 2))
     q, q_t = rng.standard_normal((2, nc, nq))
-    ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, q, q_t, Dv, Dv1)
+    ra, rb, rc = coefficient_rate_terms(vs, cm(aaT_t), cm(a_t), q, q_t, cm(Dv), cm(Dv1))
     assert rb == pytest.approx(vs.integrate(q * np.einsum("cqki,cqik->cq", a_t, Dv1)),
                                rel=1e-13, abs=0)
     assert rc == pytest.approx(vs.integrate(q_t * np.einsum("cqki,cqik->cq", a_t, Dv)),
@@ -469,35 +470,41 @@ def test_report_contractions_match_einsum(problem, run60):
     st, dt = states[-1], cfg.dt
     iface = st.problem.interface
     g = compute_report(st.problem, model, cfg.coupling_config(), states).integrands
-    normal = iface.normal[:, None, :]
-    Dw_f = iface.solid_grad_qp(st.w)
     w3 = backward_difference([s.wtt for s in states], 1, dt)
     for j, w_top in ((1, st.wtt), (2, w3)):
         _, r_nu = remainder(states, model, j, dt)
         v_top = backward_difference([s.v for s in states], j + 1, dt)
-        trac = model.linearized_traction(Dw_f, iface.solid_grad_qp(w_top), normal)
-        for key, other in ((f"r{j}_surf_v", iface.fluid_qp(v_top)), (f"r{j}_surf_lam", trac)):
-            ref = iface.integrate(np.einsum("kqi,kqi->kq", r_nu, other))
+        surf = Pairs(np.moveaxis(iface.gradients("solid", [st.w, w_top]), 2, 0))
+        trac = model.linearized_traction(surf, 1, iface.nu)
+        v_f = iface.values("fluid", [v_top])[:, 0]
+        for key, other in ((f"r{j}_surf_v", v_f), (f"r{j}_surf_lam", trac)):
+            ref = iface.integrate(np.einsum("ikq,ikq->kq", r_nu, other))
             assert g[key] == pytest.approx(ref, rel=1e-12, abs=0), key
 
 
 def test_report_evaluates_each_derivative_once(run60, monkeypatch):
-    # a full ring: w^(0..4) and v^(0..3) are evaluated once each, and only
-    # w^(0..3) and v^(0..3) are differentiated (the pressure at the
+    # a full ring: each space and point set evaluates its stacked levels with
+    # one values call and one gradients call of the batched evaluators, which
+    # the single-field grad_qp also goes through (the pressure at the
     # quadrature points is cached on the states)
     cfg, model, _, final = run60
     states = final.past()
     assert len(states) == 6
-    calls = {"grad_qp": 0, "eval_qp": 0}
-    for name in calls:
-        def counted(self, dofs, _original=getattr(FieldSpace, name), _name=name):
-            calls[_name] += 1
-            return _original(self, dofs)
+    calls = []
+    for name in ("_values", "_gradients"):
+        def counted(table, U, ncomp, _original=getattr(spaces, name), _name=name):
+            calls.append((_name, id(table)))
+            return _original(table, U, ncomp)
 
-        monkeypatch.setattr(FieldSpace, name, counted)
+        monkeypatch.setattr(spaces, name, counted)
     rep = compute_report(final.problem, model, cfg.coupling_config(), states)
     assert not np.isnan(rep.V3) and not np.isnan(rep.Ee) and not np.isnan(rep.X)
-    assert calls["grad_qp"] <= 8 and calls["eval_qp"] <= 9, calls
+    assert len(set(calls)) == len(calls), calls
+    # values: solid, fluid; on the interface fluid, solid, trace and pressure
+    # gradients: solid, fluid; on the interface solid and fluid
+    kinds = [name for name, _ in calls]
+    assert (kinds.count("_values"), kinds.count("_gradients")) == (6, 4), calls
+    assert len(kinds) == 10, calls
 
 
 def test_reports_share_integrand_keys(run60):

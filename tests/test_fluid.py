@@ -9,7 +9,7 @@ from lagfsi.errors import MeshDegenerationError
 from lagfsi.fluid import (
     assemble_fluid_operator, solve_initial_pressure, viscous_matrix,
 )
-from lagfsi.kinematics import KinematicState, advance_flow_map
+from lagfsi.kinematics import KinematicState, _min_eig_sym, advance_flow_map
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 
@@ -99,6 +99,7 @@ def test_ellipticity_precondition():
     # the guard fires on the coefficient field before any space is touched
     class FakeKin:
         aaT = np.array([[[[1.0, 0.0], [0.0, -0.5]]]])
+        min_ellip = _min_eig_sym(aaT).min()
 
     with pytest.raises(MeshDegenerationError):
         assemble_fluid_operator(FakeKin(), 0.1, 1.0, None, None)

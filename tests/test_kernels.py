@@ -1,8 +1,9 @@
 """Assembly kernels on random 2-D (6-node) and 3-D (10-node) inputs.
 
-The kernels, the quadrature-point evaluators and the material contractions
-are batched matmuls; each is checked against its einsum definition, kept
-here as the reference.  After editing a kernel, also compare its cost:
+The kernels, the quadrature-point evaluators, the pointwise d x d algebra
+and the material contractions are each checked against their einsum
+definition, kept here as the reference.  After editing a kernel, also
+compare its cost:
 
     python3 perfbench/run.py --workload long2d-r5-g0 --trace 1
 
@@ -13,9 +14,11 @@ same run on the previous commit.
 import numpy as np
 import pytest
 
-from lagfsi import kernels
+from lagfsi import kernels, pointwise
+from lagfsi.coupling import CoupledProblem
 from lagfsi.material import make_material
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
+from lagfsi.pointwise import cm, pm
 from lagfsi.spaces import FieldSpace
 
 RTOL = 1e-13
@@ -127,19 +130,28 @@ def _ref_mul(A, B):
     return np.einsum("...ia,...ab->...ib", A, B)
 
 
+def _ref_c(mdl, A):
+    """lam tr(A) I + 2 mu sym(A)."""
+    d = A.shape[-1]
+    tr = np.einsum("...ii->...", A)[..., None, None]
+    return mdl.lam * tr * np.eye(d) + mdl.mu * (A + np.swapaxes(A, -1, -2))
+
+
 def _ref_d2_contract(mdl, F, G):
-    S = mdl._cmul(0.5 * (_ref_m(F, F) - np.eye(F.shape[-1])))
-    return _ref_mul(F, mdl._cmul(_ref_m(F, G))) + _ref_mul(G, S)
+    if mdl.kind == "linear-isotropic":
+        return _ref_c(mdl, G)
+    S = _ref_c(mdl, 0.5 * (_ref_m(F, F) - np.eye(F.shape[-1])))
+    return _ref_mul(F, _ref_c(mdl, _ref_m(F, G))) + _ref_mul(G, S)
 
 
 def _ref_d3_contract(mdl, F, G, H):
-    return (_ref_mul(H, mdl._cmul(_ref_m(F, G))) + _ref_mul(F, mdl._cmul(_ref_m(H, G)))
-            + _ref_mul(G, mdl._cmul(_ref_m(F, H))))
+    return (_ref_mul(H, _ref_c(mdl, _ref_m(F, G))) + _ref_mul(F, _ref_c(mdl, _ref_m(H, G)))
+            + _ref_mul(G, _ref_c(mdl, _ref_m(F, H))))
 
 
 def _ref_d4_contract(mdl, G, H, K):
-    return (_ref_mul(H, mdl._cmul(_ref_m(K, G))) + _ref_mul(K, mdl._cmul(_ref_m(H, G)))
-            + _ref_mul(G, mdl._cmul(_ref_m(K, H))))
+    return (_ref_mul(H, _ref_c(mdl, _ref_m(K, G))) + _ref_mul(K, _ref_c(mdl, _ref_m(H, G)))
+            + _ref_mul(G, _ref_c(mdl, _ref_m(K, H))))
 
 
 def _close(new, ref):
@@ -176,10 +188,50 @@ def test_field_evaluators_match_einsum(d):
     rng = np.random.default_rng(13)
     for region, ncomp in ((FLUID, d), (SOLID, d), (FLUID, 1)):
         space = FieldSpace(mesh, region, 2, ncomp)
-        dofs = rng.standard_normal(space.ndof)
-        u = dofs.reshape(space.nscalar, ncomp)[space.cell_dofs]
-        assert _close(space.eval_qp(dofs), np.einsum("qa,cak->cqk", space.val, u))
-        assert _close(space.grad_qp(dofs), np.einsum("cqai,cak->cqki", space.gradq, u))
+        dofs = rng.standard_normal((3, space.ndof))
+        u = dofs.reshape(3, space.nscalar, ncomp)[:, space.cell_dofs]
+        assert _close(space.grad_qp(dofs[0]), np.einsum("cqai,cak->cqki", space.gradq, u[0]))
+        # the batched evaluators: component-major, one level per field
+        assert _close(space.values(dofs), np.einsum("qa,lcak->klcq", space.val, u))
+        assert _close(space.gradients(dofs), np.einsum("cqai,lcak->kilcq", space.gradq, u))
+        assert _close(space.hess_cells(dofs), np.einsum("caij,lcak->clkij", space.hessq, u))
+
+
+def test_interface_evaluators_match_einsum():
+    mesh = build_annular_mesh(2, 0.4, 1.0, 4)
+    problem = CoupledProblem(mesh, make_material("saint-venant-kirchhoff"))
+    iface = problem.interface
+    rng = np.random.default_rng(15)
+    for side, space, dofs_of_cells in (
+            ("fluid", problem.vspace, iface.fluid_cell_dofs),
+            ("solid", problem.sspace, iface.solid_cell_dofs)):
+        dofs = rng.standard_normal((3, space.ndof))
+        u = dofs.reshape(3, space.nscalar, 2)[:, dofs_of_cells]
+        _, grads = space.basis_at(iface.fluid_cell if side == "fluid" else iface.solid_cell,
+                                  iface.xq)
+        vals = iface.fval_cell if side == "fluid" else iface.sval_cell
+        assert _close(iface.values(side, dofs), np.einsum("fqa,lfak->klfq", vals, u))
+        assert _close(iface.gradients(side, dofs), np.einsum("fqai,lfak->kilfq", grads, u))
+    lam = rng.standard_normal((2, iface.nlam))
+    u = lam.reshape(2, iface.ntr, 2)[:, iface.facet_trace]
+    assert _close(iface.values("trace", lam), np.einsum("qa,lfak->klfq", iface.fval, u))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pointwise_algebra_matches_einsum(d):
+    rng = np.random.default_rng(16)
+    A, B, C = (rng.standard_normal((13, 7, d, d)) for _ in range(3))
+    a, b, c = (cm(X) for X in (A, B, C))
+    assert _close(pm(pointwise.mul(a, b)), np.einsum("...ik,...kj->...ij", A, B))
+    assert _close(pm(pointwise.mul_t(a, b)), np.einsum("...ik,...jk->...ij", A, B))
+    AtB = np.einsum("...ki,...kj->...ij", A, B)
+    assert _close(pm(pointwise.pair(a, b)), 0.5 * (AtB + np.swapaxes(AtB, -1, -2)))
+    assert _close(pointwise.tr(a), np.einsum("...ii->...", A))
+    assert _close(pointwise.frob(a, b), np.einsum("...ij,...ij->...", A, B))
+    assert _close(pointwise.aat_pairing(a, c, b), np.einsum("...ik,...jk,...ij->...", A, C, B))
+    v = rng.standard_normal((13, 7, d))
+    assert _close(np.moveaxis(pointwise.matvec(a, np.moveaxis(v, -1, 0)), 0, -1),
+                  np.einsum("...ij,...j->...i", A, v))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -187,9 +239,17 @@ def test_material_contractions_match_einsum(d):
     rng = np.random.default_rng(14)
     F = np.eye(d) + 0.15 * rng.standard_normal((13, 7, d, d))
     G, H, K = (rng.standard_normal((13, 7, d, d)) for _ in range(3))
-    mdl = make_material("saint-venant-kirchhoff", 1.3, 0.8)
-    assert _close(mdl.d2_contract(F, G), _ref_d2_contract(mdl, F, G))
-    assert _close(mdl.d3_contract(F, G, H), _ref_d3_contract(mdl, F, G, H))
-    assert _close(mdl.d4_contract(G, H, K), _ref_d4_contract(mdl, G, H, K))
-    # one unbatched operand broadcasts as in the einsum "..." form
-    assert _close(mdl.d2_contract(np.eye(d), G), _ref_d2_contract(mdl, np.eye(d), G))
+    pairing = lambda X, Y: np.einsum("...ij,...ij->...", X, Y)
+    for kind in ("saint-venant-kirchhoff", "linear-isotropic"):
+        mdl = make_material(kind, 1.3, 0.8)
+        svk = kind == "saint-venant-kirchhoff"
+        zero = np.zeros_like(G)
+        assert _close(mdl.d2_contract(F, G), _ref_d2_contract(mdl, F, G))
+        assert _close(mdl.d3_contract(F, G, H), _ref_d3_contract(mdl, F, G, H) if svk else zero)
+        assert _close(mdl.d4_contract(G, H, K), _ref_d4_contract(mdl, G, H, K) if svk else zero)
+        # the scalar forms are the contracted matrices paired with the last slot
+        assert _close(mdl.d2_form(F, G, H), pairing(_ref_d2_contract(mdl, F, G), H))
+        if svk:
+            assert _close(mdl.d3_form(F, G, H, K), pairing(_ref_d3_contract(mdl, F, G, H), K))
+        # one unbatched operand broadcasts as in the einsum "..." form
+        assert _close(mdl.d2_contract(np.eye(d), G), _ref_d2_contract(mdl, np.eye(d), G))

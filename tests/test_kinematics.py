@@ -5,9 +5,11 @@ import logging
 import numpy as np
 import pytest
 
+from lagfsi import kinematics
 from lagfsi.errors import MeshDegenerationError
+from lagfsi.fluid import assemble_fluid_operator
 from lagfsi.kinematics import (
-    KinematicState, advance_flow_map, kinematic_bounds_report,
+    KinematicState, _min_eig_sym, advance_flow_map, kinematic_bounds_report,
 )
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
 from lagfsi.spaces import FieldSpace, InterfaceData
@@ -171,3 +173,47 @@ def test_bounds_invariant(setup):
     kin = advance_flow_map(KinematicState.initial(vs, iface), v, 0.5)
     rep = kinematic_bounds_report(kin)
     assert rep.min_ellipticity >= 1 - rep.sup_dist_aaT_identity - 1e-12
+
+
+def _rotated(rng, eigenvalues):
+    """Symmetric matrices Q diag(eigenvalues) Q^T with random rotations Q."""
+    Q, _ = np.linalg.qr(rng.standard_normal(eigenvalues.shape + (3,)))
+    M = np.einsum("nij,nj,nkj->nik", Q, eigenvalues, Q)
+    return 0.5 * (M + np.swapaxes(M, 1, 2))
+
+
+@pytest.mark.parametrize("case", ["random", "near-identity", "repeated-low", "repeated-high",
+                                  "near-identity-repeated", "identity"])
+def test_min_eig_closed_form_3d(case):
+    # the closed form against eigvalsh; repeated eigenvalues are where the
+    # angle of the trigonometric form loses half its digits
+    rng = np.random.default_rng(21)
+    n = 500
+    one = np.ones((n, 3))
+    eigenvalues = {
+        "random": 3 + rng.standard_normal((n, 3)),
+        "near-identity": 1 + 1e-5 * rng.standard_normal((n, 3)),
+        "repeated-low": one * [1.0, 1.0, 2.0],
+        "repeated-high": one * [1.0, 2.0, 2.0],
+        "near-identity-repeated": 1 + 1e-6 * one * [1.0, 1.0, -2.0],
+        "identity": one,
+    }[case]
+    M = np.broadcast_to(np.eye(3), (n, 3, 3)) if case == "identity" else _rotated(rng, eigenvalues)
+    got = _min_eig_sym(M)
+    assert np.abs(got - np.linalg.eigvalsh(M)[:, 0]).max() <= 1e-14
+    if case == "identity":
+        assert np.all(got == 1.0)
+
+
+def test_ellipticity_floor_computed_once_per_state(setup, monkeypatch):
+    # the fluid guard and the bounds report read the floor the state keeps
+    mesh, vs, iface = setup
+    v = vs.interpolate(lambda x: np.array([0.2 * x[1], 0.1 * x[0]]))
+    kin = advance_flow_map(KinematicState.initial(vs, iface), v, 0.1)
+    calls = []
+    monkeypatch.setattr(kinematics, "_min_eig_sym", lambda M: calls.append(M))
+    assemble_fluid_operator(kin, 0.1, 1.0, vs, FieldSpace(mesh, FLUID, 1, 1, quad_degree=5))
+    rep = kinematic_bounds_report(kin)
+    assert calls == []
+    assert rep.min_ellipticity == min(kin.min_ellip, kin.min_ellip_facet)
+    assert kin.min_ellip == _min_eig_sym(kin.aaT).min()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lagfsi.errors import ConfigError
-from lagfsi.material import GAUSS2_NODES, make_material, remainder_bracket
+from lagfsi.material import GAUSS2_NODES, Pairs, make_material, remainder_bracket
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -42,6 +42,16 @@ def isotropic_tensor(dim, lam, mu):
     return C
 
 
+def second_pk(mdl, F):
+    """S(F) = lam tr(E) I + 2 mu E of the model's strain E."""
+    d = F.shape[-1]
+    if mdl.kind == SVK:
+        E = 0.5 * (np.einsum("...ai,...aj->...ij", F, F) - np.eye(d))
+    else:
+        E = 0.5 * ((F - np.eye(d)) + np.swapaxes(F - np.eye(d), -1, -2))
+    return mdl.lam * np.einsum("...ii->...", E)[..., None, None] * np.eye(d) + 2 * mdl.mu * E
+
+
 def hessian(mdl, F):
     """Full D^2W(F) with slot pairs (i,a),(j,b); major-symmetric."""
     F = np.asarray(F, dtype=float)
@@ -50,7 +60,7 @@ def hessian(mdl, F):
     if mdl.kind != SVK:
         shape = F.shape[:-2] + (d, d, d, d)
         return np.broadcast_to(C, shape).copy()
-    S = mdl.second_pk(F)
+    S = second_pk(mdl, F)
     I = np.eye(d)
     out = np.einsum("...iA,AaBb,...jB->...iajb", F, C, F)
     out += np.einsum("ij,...ab->...iajb", I, S)
@@ -275,11 +285,11 @@ def test_linearized_traction():
     rng = np.random.default_rng(8)
     mdl = make_material(SVK, 1.0, 1.0)
     nu = np.array([0.0, 1.0])
-    assert np.linalg.norm(mdl.linearized_traction(0.1 * rng.standard_normal((2, 2)),
-                                                  np.zeros((2, 2)), nu)) == 0.0
+    assert np.linalg.norm(mdl.linearized_traction(
+        Pairs.of(0.1 * rng.standard_normal((2, 2)), np.zeros((2, 2))), 1, nu)) == 0.0
     # at zero base it reduces to the hessian-at-identity contraction
     Dphi = rng.standard_normal((2, 2))
-    got = mdl.linearized_traction(np.zeros((2, 2)), Dphi, nu)
+    got = mdl.linearized_traction(Pairs.of(np.zeros((2, 2)), Dphi), 1, nu)
     H = hessian(mdl, np.eye(2))
     for X in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         expect = np.einsum("iajb,ia,jb->", H, Dphi, np.outer(X, nu))
@@ -289,7 +299,7 @@ def test_linearized_traction():
     errs = []
     for h in (1e-3, 5e-4):
         fd = (mdl.traction(Dw + h * Dphi, nu) - mdl.traction(Dw, nu)) / h
-        errs.append(np.linalg.norm(fd - mdl.linearized_traction(Dw, Dphi, nu)))
+        errs.append(np.linalg.norm(fd - mdl.linearized_traction(Pairs.of(Dw, Dphi), 1, nu)))
     assert errs[1] < 0.7 * errs[0]
 
 
@@ -406,21 +416,21 @@ def test_remainder_bracket():
     G1 = rng.standard_normal((d, d))
     G2 = rng.standard_normal((d, d))
     lin = make_material(LIN, 1.0, 1.0)
-    assert np.abs(remainder_bracket(lin, Dw, [G1, G2], 1)).max() == 0.0
+    assert np.abs(remainder_bracket(lin, Pairs.of(Dw, G1, G2), 1)).max() == 0.0
     svk = make_material(SVK, 1.0, 1.0)
     z = np.zeros((d, d))
-    assert np.abs(remainder_bracket(svk, Dw, [z, z], 1)).max() == 0.0
+    assert np.abs(remainder_bracket(svk, Pairs.of(Dw, z, z), 1)).max() == 0.0
     # term-by-term: the bracket is the second stress rate minus its
     # frozen-coefficient part, assembled here from the full tensors
     F = Dw + np.eye(d)
     D3 = higher_derivative(svk, F, 3)
     expect = np.einsum("iajbkg,jb,kg->ia", D3, G1, G1)
-    got = remainder_bracket(svk, Dw, [G1, G2], 1)
+    got = remainder_bracket(svk, Pairs.of(Dw, G1, G2), 1)
     assert np.allclose(got, expect, atol=1e-13)
     with pytest.raises(ConfigError):
-        remainder_bracket(svk, Dw, [G1], 1)
+        remainder_bracket(svk, Pairs.of(Dw, G1), 1)
     with pytest.raises(ConfigError):
-        remainder_bracket(svk, Dw, [G1, G2], 3)
+        remainder_bracket(svk, Pairs.of(Dw, G1, G2), 3)
 
 
 def test_ellipticity_persistence():
@@ -468,6 +478,32 @@ def test_exact_s_quadrature_matches_five_point_loops(kind, d):
         (mdl.secant_contract(Dw, A), gauss5(lambda s: mdl.d2_contract(I + s * Dw, A))),
         (mdl.nprime_form(Dw, A, B, C), gauss5(lambda s: s * mdl.d3_form(I + s * Dw, A, B, C))),
         (mdl.nprime_contract(Dw, A, B), gauss5(lambda s: s * mdl.d3_contract(I + s * Dw, A, B))),
+    ]
+    for new, ref in pairs:
+        assert np.shape(new) == np.shape(ref)
+        assert np.abs(new - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("kind", [SVK, LIN])
+@pytest.mark.parametrize("d", [2, 3])
+def test_pair_forms_match_full_tensors(kind, d):
+    # every form of the pairs layer against the full derivative tensors, on a
+    # batch of quadrature-point data (the point-major methods and the report
+    # share these forms)
+    rng = np.random.default_rng(9)
+    mdl = make_material(kind, 1.3, 0.7)
+    I = np.eye(d)
+    Dw, A, B, C = (0.3 * rng.standard_normal((40, d, d)) for _ in range(4))
+    F = I + Dw
+    D2, D3, D4 = hessian(mdl, F), higher_derivative(mdl, F, 3), higher_derivative(mdl, F, 4)
+    pairs = [
+        (mdl.d2_form(F, A, B), np.einsum("niajb,nia,njb->n", D2, A, B)),
+        (mdl.d2_contract(F, A), np.einsum("niajb,nia->njb", D2, A)),
+        (mdl.d3_form(F, A, B, C), np.einsum("niajbkg,nia,njb,nkg->n", D3, A, B, C)),
+        (mdl.d3_contract(F, A, B), np.einsum("niajbkg,nia,njb->nkg", D3, A, B)),
+        (mdl.d4_contract(A, B, C), np.einsum("niajbkgld,nia,njb,nkg->nld", D4, A, B, C)),
+        (mdl.piola_stress(F), np.einsum("nia,nab->nib", F, second_pk(mdl, F))
+         if kind == SVK else second_pk(mdl, F)),
     ]
     for new, ref in pairs:
         assert np.shape(new) == np.shape(ref)
