@@ -85,16 +85,14 @@ def cmd_check_identities(cfg, args):
     interval = (0.0, 1.0)
     ok = True
     const = constant_displacement([0.3] + [0.1] * (d - 1))
-    for flavor in ("secant", "hessian"):
-        r36, r37 = multiplier_identity_residual(
-            mesh, model, const, H, rho, xi, interval, flavor=flavor)
-        print(f"constant field  ({flavor:7s})  res36 {r36:+.3e}  res37 {r37:+.3e}")
-        ok &= max(abs(r36), abs(r37)) <= 1e-10
+    r36, r37 = multiplier_identity_residual(mesh, model, const, H, rho, xi, interval)
+    print(f"constant field                    res36 {r36:+.3e}  res37 {r37:+.3e}")
+    ok &= max(abs(r36), abs(r37)) <= 1e-10
     poly = sin_quadratic_displacement(d, scale=0.2)
     last = None
     for deg in (1, 2, 3, 5):
         r36, r37 = multiplier_identity_residual(
-            mesh, model, poly, H, rho, xi, interval, flavor="hessian", quad_degree=deg)
+            mesh, model, poly, H, rho, xi, interval, quad_degree=deg)
         print(f"polynomial field (quad degree {deg})  res36 {r36:+.3e}  res37 {r37:+.3e}")
         last = max(abs(r36), abs(r37))
     ok &= last <= 1e-8

@@ -8,10 +8,9 @@ effective value, so a run is reproducible from its echoed config alone.
 import math
 from dataclasses import dataclass, field, replace
 
+from . import initial_data, material
 from .errors import ConfigError, PreconditionError
 
-_MATERIAL_KINDS = ("saint-venant-kirchhoff", "linear-isotropic")
-_INIT_MODES = ("radial", "swirl")
 _EXPERIMENTS = ("single", "gamma-sweep", "dt-study")
 
 
@@ -33,7 +32,7 @@ _KEYS = {
     "outer_radius": ("outer_radius", _finite, lambda v: v > 0, "> 0"),
     "resolution": ("resolution", int, lambda v: v >= 4, ">= 4"),
     "material.kind": ("material_kind", str,
-                      lambda v: v in _MATERIAL_KINDS, f"one of {_MATERIAL_KINDS}"),
+                      lambda v: v in material.KINDS, f"one of {tuple(material.KINDS)}"),
     "material.lambda": ("material_lambda", _finite, lambda v: v >= 0, ">= 0"),
     "material.mu": ("material_mu", _finite, lambda v: v > 0, "> 0"),
     "gamma": ("gamma", _finite, lambda v: v >= 0, ">= 0"),
@@ -43,8 +42,8 @@ _KEYS = {
     "epsilon1": ("epsilon1", _finite, lambda v: v > 0, "> 0"),
     "epsilon0": ("epsilon0", _finite, lambda v: v > 0, "> 0"),
     "init.amplitude": ("init_amplitude", _finite, lambda v: v >= 0, ">= 0"),
-    "init.mode": ("init_mode", str, lambda v: v in _INIT_MODES,
-                  f"one of {_INIT_MODES}"),
+    "init.mode": ("init_mode", str, lambda v: v in initial_data.INIT_MODES,
+                  f"one of {initial_data.INIT_MODES}"),
     "newton.tol": ("newton_tol", _finite, lambda v: v > 0, "> 0"),
     "newton.maxit": ("newton_maxit", int, lambda v: v >= 1, ">= 1"),
     "identity.window_start": ("identity_window_start", _finite, lambda v: v >= 0, ">= 0"),
@@ -121,16 +120,10 @@ class RunConfig:
         )
 
     def make_material(self):
-        from .material import make_material
-
-        return make_material(
-            self.material_kind, self.material_lambda, self.material_mu
-        )
+        return material.make_material(self.material_kind, self.material_lambda, self.material_mu)
 
     def make_initial_data(self):
-        from .initial_data import InitialData
-
-        return InitialData(
+        return initial_data.InitialData(
             self.init_mode, self.init_amplitude, self.inner_radius, self.outer_radius
         )
 

@@ -15,10 +15,10 @@ from sys import intern
 
 import numpy as np
 
-from . import mesh as meshmod
+from . import kernels, mesh as meshmod
 from .errors import FitDomainError, PreconditionError
 from .material import Pairs, remainder_bracket
-from .pointwise import aat_pairing, cm, frob, matvec, mul_t
+from .pointwise import aat_pairing, cm, frob, matvec, mul, mul_t, sym
 from .spaces import FieldSpace
 
 CSV_COLUMNS = [
@@ -124,7 +124,7 @@ def compute_report(problem, model, cfg, states):
     vol, surf = _levels(Dw), _levels(iface.gradients("solid", w[:4]))
     v_f = iface.values("fluid", v)
     trac = list(np.moveaxis(iface.values("trace", lam), 1, 0))
-    visc = _integrals(vs.wdet, aat_pairing(Dv, cm(st.kin.aaT)[:, :, None], Dv))
+    visc = _integrals(vs.wdet, aat_pairing(Dv, st.kin.aaT[:, :, None], Dv))
     gradsq = _sq(vs.wdet, Dv)
 
     # -- one pass over the levels ------------------------------------------------
@@ -147,8 +147,8 @@ def compute_report(problem, model, cfg, states):
             g[f"d3w{j}"] = 0.5 * ss.integrate(model.form3(vol, j, j, 1))
         if j == 1:
             # coefficient-rate couplings of the differentiated momentum balance
-            aaT_t = backward_difference([cm(s.kin.aaT) for s in states[-2:]], 1, dt)
-            a_t = backward_difference([cm(s.kin.a) for s in states[-2:]], 1, dt)
+            aaT_t = backward_difference([s.kin.aaT for s in states[-2:]], 1, dt)
+            a_t = backward_difference([s.kin.a for s in states[-2:]], 1, dt)
             q_t = backward_difference([s.q_qp() for s in states[-2:]], 1, dt)
             ra, rb, rc = coefficient_rate_terms(vs, aaT_t, a_t, st.q_qp(), q_t,
                                                 Dv[:, :, 0], Dv[:, :, 1])
@@ -189,10 +189,8 @@ def compute_report(problem, model, cfg, states):
 def _div_functional(space, iface, delta_vol, delta_nu_facet):
     """Weak functional of div(delta): -<delta, D phi> + <delta nu, phi>_Gc, of
     the component-major delta (d, d, nc, nq) and delta nu (d, nfac, nqf)."""
-    nc, nloc, d, nq = space.gradt.shape
-    wG = (space.wdet[:, None, None, :] * space.gradt).reshape(nc, nloc, d * nq)
-    delta = np.ascontiguousarray(delta_vol.transpose(2, 1, 3, 0)).reshape(nc, d * nq, d)
-    out = space.scatter_vector(-(wG @ delta).reshape(nc, -1))
+    elem = kernels.elem_residual(delta_vol, space.gradt, space.wdet)
+    out = space.scatter_vector(-elem.reshape(len(elem), -1))
     surf = np.swapaxes(iface.wq[..., None] * iface.sval_cell, 1, 2) @ np.moveaxis(
         delta_nu_facet, 0, -1)
     vdofs = iface.solid_cell_dofs[:, :, None] * space.ncomp + np.arange(space.ncomp)
@@ -252,7 +250,7 @@ def interface_residual_values(state, model, gamma, surf=None, v_f=None):
     q_f = iface.values("pressure", [state.q])[0, 0]
     # fluid traction Dv (a a^T)^T nu - q a^T nu at the facet points
     kin = state.kin
-    T_f = matvec(mul_t(Dv_f, cm(kin.aaT_facet)), nu) - q_f * matvec(cm(kin.a_facet).swapaxes(0, 1), nu)
+    T_f = matvec(mul_t(Dv_f, kin.aaT_facet), nu) - q_f * matvec(kin.a_facet.swapaxes(0, 1), nu)
     stress = iface.dual_norm(iface.functional(trac - T_f))
     return float(vel), float(stress)
 
@@ -410,81 +408,20 @@ class ScalarField:
         self.grad = grad
 
 
-class _AwEvaluator:
-    """Frozen-coefficient quadratic form A_w at base displacement w.
-
-    flavor 'secant' uses the averaged Hessian (the j = 0 energy form),
-    'hessian' the Hessian at Dw + I (the differentiated levels).
-    """
-
-    def __init__(self, model, flavor, base):
-        self.model = model
-        self.flavor = flavor
-        self.base = base
-
-    def _Dw(self, x):
-        if self.base is None:
-            d = x.shape[-1]
-            return np.zeros(x.shape[:-1] + (d, d))
-        return self.base.grad(x)
-
-    def form(self, x, G, H):
-        Dw = self._Dw(x)
-        if self.flavor == "secant":
-            return self.model.secant_form(Dw, G, H)
-        d = x.shape[-1]
-        return self.model.d2_form(Dw + np.eye(d), G, H)
-
-    def contract(self, x, G):
-        Dw = self._Dw(x)
-        if self.flavor == "secant":
-            return self.model.secant_contract(Dw, G)
-        d = x.shape[-1]
-        return self.model.d2_contract(Dw + np.eye(d), G)
-
-    def d_form(self, x, A, B, C):
-        """DA_w(A, B, C): third slot takes the coefficient-direction matrix."""
-        Dw = self._Dw(x)
-        if self.flavor == "secant":
-            return self.model.nprime_form(Dw, A, B, C)
-        d = x.shape[-1]
-        return self.model.d3_form(Dw + np.eye(d), A, B, C)
-
-    def d_contract(self, x, G, H):
-        Dw = self._Dw(x)
-        if self.flavor == "secant":
-            return self.model.nprime_contract(Dw, G, H)
-        d = x.shape[-1]
-        return self.model.d3_contract(Dw + np.eye(d), G, H)
-
-    def divergence(self, x, hat_grad, hat_hess):
-        """div(l_{D hat w} A_w) pointwise, using the base-field curvature."""
-        d = x.shape[-1]
-        out = np.zeros(x.shape[:-1] + (d,))
-        for alpha in range(d):
-            M = self.contract(x, hat_hess[..., alpha])
-            out += M[..., :, alpha]
-        if self.base is not None:
-            bh = self.base.hess(x)
-            for alpha in range(d):
-                M = self.d_contract(x, hat_grad, bh[..., alpha])
-                out += M[..., :, alpha]
-        return out
-
-
 # Gauss-Legendre points of the multiplier identities' time integrals
 IDENTITY_TIME_POINTS = 20
 
 
-def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
-                                 base=None, flavor="secant", quad_degree=5):
+def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval, quad_degree=5):
     """Residuals of the two integration-by-parts multiplier identities.
 
     `hat` is a manufactured displacement with vectorized callables
     value/dt1/dt2/grad/hess of (x, t); its equation remainder r is defined
     from the field itself, so both identities must vanish to quadrature
-    accuracy.  Returns (residual of the vector-multiplier identity,
-    residual of the scalar-multiplier identity).
+    accuracy.  The energy form is the one at zero base displacement,
+    A(G, K) = D^2W(I)(G, K) = psi''(sym G, sym K), with l_G A = c(sym G).
+    Returns (residual of the vector-multiplier identity, residual of the
+    scalar-multiplier identity).
     """
     d = mesh.dimension
     space = FieldSpace(mesh, meshmod.SOLID, 2, d, quad_degree=quad_degree)
@@ -492,78 +429,71 @@ def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
     W = space.wdet.reshape(-1)
     idx = mesh.facet_indices(meshmod.INTERFACE)
     fq, fw = mesh.facet_quadrature(idx, quad_degree)
-    fnu = np.repeat(mesh.facet_normal[idx], fq.shape[1], axis=0)
+    fnu = np.repeat(mesh.facet_normal[idx], fq.shape[1], axis=0).T
     fq, fw = fq.reshape(-1, d), fw.reshape(-1)
-    Aw = _AwEvaluator(model, flavor, base)
 
     s_t, t_t = interval
     tn, tw = np.polynomial.legendre.leggauss(IDENTITY_TIME_POINTS)
     tn = 0.5 * (tn + 1) * (t_t - s_t) + s_t
     tw = 0.5 * tw * (t_t - s_t)
 
-    Hx, DHx, divHx = H.value(X), H.grad(X), H.div(X)
-    Hf = H.value(fq)
-    xix, dxix = xi.value(X), xi.grad(X)
+    # component-major from here on: vectors (d, n), matrices (d, d, n)
+    Hx, DHx, divHx = H.value(X).T, cm(H.grad(X)), H.div(X)
+    Hf = H.value(fq).T
+    xix, dxix = xi.value(X), xi.grad(X).T
     xif = xi.value(fq)
+    A = lambda G, K: model.psi2(sym(G), sym(K))
+    dot = lambda u, v: (u * v).sum(axis=0)
+
+    def field(x, t):
+        """w, w_t and Dw of the manufactured field at the points x."""
+        return hat.value(x, t).T, hat.dt1(x, t).T, cm(hat.grad(x, t))
 
     def r_field(x, t):
-        wtt = hat.dt2(x, t)
-        w = hat.value(x, t)
-        gw = hat.grad(x, t)
+        """w_tt - div(l_{Dw} A) + w; hess[..., b] is the matrix d_b Dw."""
         hw = hat.hess(x, t)
-        return wtt - Aw.divergence(x, gw, hw) + w
+        div = sum(model.c(sym(cm(hw[..., b])))[:, b] for b in range(d))
+        return (hat.dt2(x, t) + hat.value(x, t)).T - div
 
     def endpoint36(t):
-        wt = hat.dt1(X, t)
-        gw = hat.grad(X, t)
-        w = hat.value(X, t)
-        mult = 2 * np.einsum("nia,na->ni", gw, Hx) + rho * w
-        return float(np.sum(W * np.einsum("ni,ni->n", wt, mult)))
+        w, wt, gw = field(X, t)
+        return float(np.sum(W * dot(wt, 2 * matvec(gw, Hx) + rho * w)))
 
     def endpoint37(t):
-        wt = hat.dt1(X, t)
-        w = hat.value(X, t)
-        return float(np.sum(W * xix * np.einsum("ni,ni->n", wt, w)))
+        w, wt, _ = field(X, t)
+        return float(np.sum(W * xix * dot(wt, w)))
 
     lhs36 = rhs36 = 0.0
     lhs37 = rhs37 = 0.0
     for t, wgt in zip(tn, tw):
-        w_v = hat.value(X, t)
-        wt_v = hat.dt1(X, t)
-        gw_v = hat.grad(X, t)
-        Aww = Aw.form(X, gw_v, gw_v)
-        quad_v = np.einsum("ni,ni->n", wt_v, wt_v) - Aww - np.einsum("ni,ni->n", w_v, w_v)
-        mult_v = 2 * np.einsum("nia,na->ni", gw_v, Hx) + rho * w_v
+        w_v, wt_v, gw_v = field(X, t)
+        Aww = A(gw_v, gw_v)
+        quad_v = dot(wt_v, wt_v) - Aww - dot(w_v, w_v)
+        mult_v = 2 * matvec(gw_v, Hx) + rho * w_v
         r_v = r_field(X, t)
-        gwDH = np.einsum("nik,nkj->nij", gw_v, DHx)
         vol36 = (
             np.sum(W * quad_v * (divHx - rho))
-            + 2 * np.sum(W * Aw.form(X, gw_v, gwDH))
-            - _da_term(Aw, X, W, gw_v, Hx, base)
-            - np.sum(W * np.einsum("ni,ni->n", r_v, mult_v))
+            + 2 * np.sum(W * A(gw_v, mul(gw_v, DHx)))
+            - np.sum(W * dot(r_v, mult_v))
         )
         rhs36 += wgt * vol36
 
-        w_f = hat.value(fq, t)
-        wt_f = hat.dt1(fq, t)
-        gw_f = hat.grad(fq, t)
-        Aww_f = Aw.form(fq, gw_f, gw_f)
-        quad_f = np.einsum("ni,ni->n", wt_f, wt_f) - Aww_f - np.einsum("ni,ni->n", w_f, w_f)
-        tracA = np.einsum("nia,na->ni", Aw.contract(fq, gw_f), fnu)
-        mult_f = 2 * np.einsum("nia,na->ni", gw_f, Hf) + rho * w_f
+        w_f, wt_f, gw_f = field(fq, t)
+        quad_f = dot(wt_f, wt_f) - A(gw_f, gw_f) - dot(w_f, w_f)
+        tracA = matvec(model.c(sym(gw_f)), fnu)
+        mult_f = 2 * matvec(gw_f, Hf) + rho * w_f
         lhs36 += wgt * (
-            np.sum(fw * quad_f * np.einsum("na,na->n", Hf, fnu))
-            + np.sum(fw * np.einsum("ni,ni->n", tracA, mult_f))
+            np.sum(fw * quad_f * dot(Hf, fnu))
+            + np.sum(fw * dot(tracA, mult_f))
         )
 
         # scalar-multiplier identity, accumulated as (LHS - RHS) pieces
-        lhs37 += wgt * np.sum(fw * xif * np.einsum("ni,ni->n", tracA, w_f))
+        lhs37 += wgt * np.sum(fw * xif * dot(tracA, w_f))
         rhs37 += wgt * (
-            -np.sum(W * xix * np.einsum("ni,ni->n", r_v, w_v))
-            + np.sum(W * xix * (np.einsum("ni,ni->n", w_v, w_v)
-                                - np.einsum("ni,ni->n", wt_v, wt_v)))
+            -np.sum(W * xix * dot(r_v, w_v))
+            + np.sum(W * xix * (dot(w_v, w_v) - dot(wt_v, wt_v)))
             + np.sum(W * xix * Aww)
-            + np.sum(W * Aw.form(X, gw_v, np.einsum("ni,na->nia", w_v, dxix)))
+            + np.sum(W * A(gw_v, w_v[:, None] * dxix[None, :]))
         )
 
     rhs36 += endpoint36(t_t) - endpoint36(s_t)
@@ -571,15 +501,6 @@ def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval,
     res36 = lhs36 - rhs36
     res37 = (rhs37_end + rhs37) - lhs37
     return float(res36), float(res37)
-
-
-def _da_term(Aw, X, W, gw, Hx, base):
-    """int DA_w(D hat w, D hat w, D_H Dw) dx over the current quadrature."""
-    if base is None:
-        return 0.0
-    bh = base.hess(X)  # (n, i, a, b)
-    DHDw = np.einsum("niab,nb->nia", bh, Hx)
-    return np.sum(W * Aw.d_form(X, gw, gw, DHDw))
 
 
 def write_csv(path, reports):

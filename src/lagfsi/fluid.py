@@ -10,6 +10,8 @@ import numpy as np
 
 from . import kernels, mesh as meshmod
 from .errors import MeshDegenerationError
+from .material import Pairs
+from .pointwise import frob, matvec
 from .solid import lu_factor
 from .spaces import basis_values
 
@@ -32,18 +34,13 @@ class FluidOperator:
 
 def viscous_matrix(space, aaT):
     """Vector stiffness with matrix coefficient a a^T (component-diagonal)."""
-    elems = kernels.visc_elements(
-        np.ascontiguousarray(aaT), np.ascontiguousarray(space.gradq), space.wdet
-    )
-    return space.scatter_matrix(elems)
+    return space.scatter_matrix(kernels.visc_elements(aaT, space.gradt, space.wdet))
 
 
 def divergence_matrix(vspace, pspace, a):
     """Constraint rows: B[p, (a,i)] = int psi_p a_{ki} d_k phi_a."""
     valp = basis_values(vspace.dim, pspace.degree, vspace.qp)
-    elems = kernels.div_elements(
-        np.ascontiguousarray(a), np.ascontiguousarray(vspace.gradq), valp, vspace.wdet
-    )
+    elems = kernels.div_elements(a, vspace.gradt, valp, vspace.wdet)
     nc, nlocp, nloca, d = elems.shape
     return pspace.scatter_matrix(elems.reshape(nc, nlocp, nloca * d), vspace)
 
@@ -83,10 +80,10 @@ def solve_initial_pressure(problem, v0, w0, model):
     d = mesh.dimension
 
     # stiffness and volume load -grad v0 : grad v0 (transposed pairing)
-    elems = np.einsum("cq,cqai,cqbi->cab", pspace.wdet, pspace.gradq, pspace.gradq)
+    elems = np.einsum("cq,caiq,cbiq->cab", pspace.wdet, pspace.gradt, pspace.gradt)
     A = pspace.scatter_matrix(elems)
-    Dv = vspace.grad_qp(v0)
-    f = -np.einsum("cqik,cqki->cq", Dv, Dv)
+    Dv = vspace.gradients([v0])[:, :, 0]
+    f = -frob(Dv, Dv.swapaxes(0, 1))
     valp = basis_values(d, pspace.degree, vspace.qp)
     load = np.einsum("cq,qp,cq->cp", vspace.wdet, valp, f)
     b = np.zeros(pspace.nscalar)
@@ -120,16 +117,16 @@ def solve_initial_pressure(problem, v0, w0, model):
 
 
 def _vertex_datum(iface, k, x, nu, v0, w0, model):
-    """Interface Dirichlet value q0 = nu^T Dv0 nu - <traction(w0), nu> at a
+    """Interface Dirichlet value q0 = nu^T Dv0 nu - <DW(Dw0 + I) nu, nu> at a
     point x of interface facet k with normal nu; k, x and nu may also be
     arrays over points, (n,), (n, d) and (n, d)."""
 
     def grad_at(space, ci, dofs, u):
+        """Gradient of u at x, component-major (d, d, ...)."""
         _, g = space.basis_at(ci, x[..., None, :])
-        return np.einsum("...ai,...ac->...ci", g[..., 0, :, :], space._as_nodal(u)[dofs])
+        return np.einsum("...ai,...ac->ci...", g[..., 0, :, :], space._as_nodal(u)[dofs])
 
     Dv = grad_at(iface.fluid_space, iface.fluid_cell[k], iface.fluid_cell_dofs[k], v0)
     Dw = grad_at(iface.solid_space, iface.solid_cell[k], iface.solid_cell_dofs[k], w0)
-    trac = model.traction(Dw, nu)
-    nu_row, nu_col = nu[..., None, :], nu[..., :, None]
-    return (nu_row @ Dv @ nu_col - trac[..., None, :] @ nu_col)[..., 0, 0]
+    n = np.moveaxis(nu, -1, 0)
+    return ((matvec(Dv, n) - matvec(model.pk1(Pairs([Dw])), n)) * n).sum(axis=0)

@@ -11,11 +11,15 @@ no-slip conditions would otherwise demand nontrivial compatibility data:
 
 import numpy as np
 
+from .errors import ConfigError
+
+INIT_MODES = ("radial", "swirl")
+
 
 class InitialData:
     def __init__(self, mode, amplitude, inner_radius, outer_radius):
-        if mode not in ("radial", "swirl"):
-            raise ValueError(f"unknown init mode {mode!r}")
+        if mode not in INIT_MODES:
+            raise ConfigError(f"unknown init mode {mode!r}")
         self.mode = mode
         self.amplitude = float(amplitude)
         self.ri = float(inner_radius)

@@ -1,108 +1,108 @@
-"""Numpy implementations of the hot assembly kernels.  Shapes:
+"""Numpy implementations of the hot assembly kernels.  Matrix fields are
+component-major (see `pointwise`); shapes:
 
-    F      (nc, nq, d, d)    deformation gradients at quadrature points
-    G      (nc, nq, na, d)   physical basis gradients
+    Dw     (d, d, nc, nq)    displacement gradients at quadrature points
+    P      (d, d, nc, nq)    first Piola-Kirchhoff stress DW(Dw + I)
+    G      (nc, na, d, nq)   physical basis gradients (a space's `gradt`)
     wdet   (nc, nq)          quadrature weights times |det J|
-    aaT    (nc, nq, d, d)    coefficient a a^T of the pulled-back viscosity
-    a      (nc, nq, d, d)    inverse deformation gradient
+    aaT    (d, d, nc, nq)    coefficient a a^T of the pulled-back viscosity
+    a      (d, d, nc, nq)    inverse deformation gradient
     valp   (nq, np_)         pressure basis values
 
 Material kinds: 0 = linear-isotropic, 1 = Saint Venant-Kirchhoff.  The
-stress law is `material.StressLaw`, evaluated on the component-major F - I.
+stress law is `material.StressLaw`, evaluated on Dw itself, so no identity
+is added to the gradient and subtracted again.
 """
 
 import numpy as np
 
 from .material import Pairs, StressLaw
-from .pointwise import cm, cofactor3, mul_t, pm
+from .pointwise import cofactor3, mul_t
 
 BACKEND = "python"  # reported as lagfsi.kernel_backend
 
 
 def inv_det(F):
-    """Batched inverse and determinant of 2x2 / 3x3 matrices (..., d, d),
-    entry by entry: the inverse keeps F's memory layout, so a point-major
-    view of component-major data gives one back."""
-    F = np.asarray(F)
-    d = F.shape[-1]
+    """Batched inverse and determinant of 2x2 / 3x3 matrices, component-major
+    (d, d, ...), entry by entry."""
+    d = len(F)
     inv = np.empty_like(F)
     if d == 2:
-        a, b = F[..., 0, 0], F[..., 0, 1]
-        c, e = F[..., 1, 0], F[..., 1, 1]
+        a, b = F[0, 0], F[0, 1]
+        c, e = F[1, 0], F[1, 1]
         det = a * e - b * c
-        inv[..., 0, 0] = e
-        inv[..., 0, 1] = -b
-        inv[..., 1, 0] = -c
-        inv[..., 1, 1] = a
+        inv[0, 0] = e
+        inv[0, 1] = -b
+        inv[1, 0] = -c
+        inv[1, 1] = a
     else:
-        X = cm(F)
         for i in range(3):
             for j in range(3):
-                inv[..., j, i] = cofactor3(X, i, j)
-        det = F[..., 0, 0] * inv[..., 0, 0] + F[..., 0, 1] * inv[..., 1, 0] + F[..., 0, 2] * inv[..., 2, 0]
-    inv /= det[..., None, None]
+                inv[j, i] = cofactor3(F, i, j)
+        det = F[0, 0] * inv[0, 0] + F[0, 1] * inv[1, 0] + F[0, 2] * inv[2, 0]
+    inv /= det
     return inv, det
 
 
-def _pairs(F):
-    """The Pairs table of the component-major F - I, from point-major F."""
-    Dw = np.ascontiguousarray(cm(np.asarray(F)))
-    for i in range(len(Dw)):
-        Dw[i, i] -= 1.0
-    return Pairs([Dw])
+def pk1(Dw, lam, mu, kind):
+    """First derivative of the stored energy at F = I + Dw."""
+    return StressLaw(lam, mu, kind).pk1(Pairs([Dw]))
 
 
-def pk1(F, lam, mu, kind):
-    """First derivative of the stored energy with respect to F."""
-    return np.ascontiguousarray(pm(StressLaw(lam, mu, kind).pk1(_pairs(F))))
+# The d x d products at the points batch over the point axes (cell, point),
+# so the table and the fields enter them as views with those axes first.
+
+def _gmul(G, A):
+    """(G A)[c,q,a,i] = sum_k G[c,a,k,q] A[k,i,c,q]: at each point, the rows
+    of the basis-gradient table times the matrix field A."""
+    return G.transpose(0, 3, 1, 2) @ A.transpose(2, 3, 0, 1)
 
 
 def _qsum(A, B):
-    """out[c,x,y] = sum_q sum_k A[c,q,x,k] B[c,q,y,k], as one
-    (nx, nq*k) @ (nq*k, ny) product per cell."""
-    nc, nq, nx, k = A.shape
-    At = np.swapaxes(A, 1, 2).reshape(nc, nx, nq * k)
-    Bt = np.swapaxes(B, 2, 3).reshape(nc, nq * k, B.shape[2])
-    return At @ Bt
-
-
-def _outer_qsum(A, B):
-    """out[c,x,y] = sum_q A[c,q,x] B[c,q,y], x and y running over the
-    flattened trailing axes: one (nx, nq) @ (nq, ny) product per cell."""
+    """out[c,x,y] = sum_q A[c,q,x] B[c,q,y], x and y the flattened trailing
+    axes: one (nx, nq) @ (nq, ny) product per cell."""
     nc, nq = A.shape[:2]
-    return np.swapaxes(A.reshape(nc, nq, -1), 1, 2) @ B.reshape(nc, nq, -1)
+    return A.reshape(nc, nq, -1).swapaxes(1, 2) @ B.reshape(nc, nq, -1)
+
+
+def _table_sum(A, G):
+    """out[c,a,b] = sum_{k,q} A[c,q,a,k] G[c,b,k,q]: one product per cell."""
+    nc, na = G.shape[:2]
+    return A.transpose(0, 2, 3, 1).reshape(nc, na, -1) @ G.reshape(nc, na, -1).swapaxes(1, 2)
 
 
 def elem_residual(P, G, wdet):
     """R[c,a,i] = sum_q wdet * P[i,b] * G[a,b]."""
-    return ((wdet[..., None, None] * G) @ np.swapaxes(P, -1, -2)).sum(axis=1)
+    nc, na, d, nq = G.shape
+    wG = (wdet[:, None, None, :] * G).reshape(nc, na, d * nq)
+    return wG @ P.transpose(2, 1, 3, 0).reshape(nc, d * nq, d)
 
 
-def elem_tangent(F, G, wdet, lam, mu, kind):
-    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(F) G[a,alpha] G[b,beta].
+def elem_tangent(Dw, G, wdet, lam, mu, kind):
+    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(I + Dw) G[a,alpha] G[b,beta].
 
     With FG = G F^T (G itself for kind 0) the tangent is
     lam FG[a,i] FG[b,j] + mu FG[a,j] FG[b,i] + diag_ij Q[a,b], plus
     mu (F F^T)[i,j] (G G^T)[a,b] for kind 1; Q is mu G G^T for kind 0 and
     the geometric term G S G^T for kind 1."""
-    nc, nq, na, d = G.shape
-    w = wdet[..., None, None]
+    nc, na, d, nq = G.shape
+    w = wdet[:, :, None, None]
+    Gq = G.transpose(0, 3, 1, 2)
     if kind == 0:
-        FG = G
-        Q = mu * _qsum(w * G, G)
+        FG = Gq
+        Q = mu * _table_sum(w * Gq, G)
     else:
-        FG = G @ np.swapaxes(F, -1, -2)
-        p = _pairs(F)
-        Q = _qsum((w * G) @ np.ascontiguousarray(pm(StressLaw(lam, mu, 1).stress(p))), G)
-    M = _outer_qsum(w * FG, FG).reshape(nc, na, d, na, d)
+        F = Dw.copy()
+        for i in range(d):
+            F[i, i] += 1.0
+        FG = _gmul(G, F.swapaxes(0, 1))
+        Q = _table_sum(_gmul(G, wdet * StressLaw(lam, mu, 1).stress(Pairs([Dw]))), G)
+    M = _qsum(w * FG, FG).reshape(nc, na, d, na, d)
     K = lam * M + mu * M.transpose(0, 1, 4, 3, 2)
     if kind == 1:
-        gg = G @ np.swapaxes(G, -1, -2)                    # (nc, nq, na, na)
-        Fc = p.X[0].copy()
-        for i in range(d):
-            Fc[i, i] += 1.0
-        FFt = w * np.ascontiguousarray(pm(mul_t(Fc, Fc)))
-        K += mu * _outer_qsum(gg, FFt).reshape(nc, na, na, d, d).transpose(0, 1, 3, 2, 4)
+        FFt = (wdet * mul_t(F, F)).transpose(2, 3, 0, 1)
+        GGt = Gq @ Gq.swapaxes(2, 3)
+        K += mu * _qsum(GGt, FFt).reshape(nc, na, na, d, d).transpose(0, 1, 3, 2, 4)
     for i in range(d):
         K[:, :, i, :, i] += Q
     return K
@@ -110,11 +110,11 @@ def elem_tangent(F, G, wdet, lam, mu, kind):
 
 def visc_elements(aaT, G, wdet):
     """K[c,a,b] = sum_q wdet * aaT[j,k] * G[b,k] * G[a,j]."""
-    return _qsum((wdet[..., None, None] * G) @ aaT, G)
+    return _table_sum(_gmul(G, wdet * aaT), G)
 
 
 def div_elements(a, G, valp, wdet):
     """B[c,p,a,i] = sum_q wdet * psi[p] * a[k,i] * G[a,k]."""
-    nc, nq, na, d = G.shape
-    wpsi = wdet[..., None] * valp                          # (nc, nq, np)
-    return _outer_qsum(wpsi, G @ a).reshape(nc, -1, na, d)
+    nc, na, d, nq = G.shape
+    wpsi = wdet[:, None, :] * valp.T                        # (nc, np, nq)
+    return (wpsi @ _gmul(G, a).reshape(nc, nq, na * d)).reshape(nc, -1, na, d)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import MeshDegenerationError
-from .pointwise import cm, cofactor3, mul_t, pm
+from .pointwise import cofactor3, mul_t
 from .spaces import _gradients
 
 log = logging.getLogger(__name__)
@@ -54,9 +54,9 @@ class KinematicState:
 
     The state is the displacement eta - x; D eta is I plus its gradient, so
     no O(1) identity part is differentiated and cancelled.  The matrix
-    fields are point-major views (..., d, d) of component-major data, so
-    `pointwise.cm` of each is contiguous; a a^T is formed entry by entry,
-    and so is the ellipticity floor, its least eigenvalue, once per state.
+    fields are component-major, (d, d, n, nq); a a^T is formed entry by
+    entry, and so is the ellipticity floor, its least eigenvalue, once per
+    state.
     Immutable after construction; `advance_flow_map` returns a new state.
     """
 
@@ -74,13 +74,13 @@ class KinematicState:
 
     def _sample(self, table, disp_cells, where):
         grad = _grad_map(table, disp_cells)
-        a, det = kernels.inv_det(pm(grad))
+        a, det = kernels.inv_det(grad)
         if det.min() <= 0:
             raise MeshDegenerationError(
                 f"det(D eta) <= 0{where} at t={self.time}: min {det.min():.3e}"
             )
-        aaT = pm(mul_t(cm(a), cm(a)))
-        return pm(grad), a, det, aaT, _min_eig_sym(aaT).min()
+        aaT = mul_t(a, a)
+        return grad, a, det, aaT, _min_eig_sym(aaT).min()
 
     @classmethod
     def initial(cls, space, interface):
@@ -99,12 +99,12 @@ def advance_flow_map(state, v, dt):
 
 
 def _min_eig_sym(M):
-    """Least eigenvalue of symmetric 2x2 / 3x3 matrices (..., d, d) in closed
-    form.  The spread is taken from the deviatoric part, its diagonal formed
-    from differences of diagonal entries, so near-identity input loses no
-    digits to cancellation."""
-    m = lambda i, j: M[..., i, j]
-    if M.shape[-1] == 2:
+    """Least eigenvalue of symmetric 2x2 / 3x3 matrices, component-major
+    (d, d, ...), in closed form.  The spread is taken from the deviatoric
+    part, its diagonal formed from differences of diagonal entries, so
+    near-identity input loses no digits to cancellation."""
+    m = lambda i, j: M[i, j]
+    if len(M) == 2:
         mean = 0.5 * (m(0, 0) + m(1, 1))
         half_gap = 0.5 * (m(0, 0) - m(1, 1))
         return mean - np.sqrt(half_gap**2 + m(0, 1) * m(1, 0))
@@ -131,8 +131,8 @@ def _min_eig_sym(M):
 def kinematic_bounds_report(state):
     """Scan all quadrature points for the near-identity bounds; logs a
     warning when the coefficient distance exceeds NEAR_IDENTITY_EPSILON."""
-    I = np.eye(state.space.dim)
-    dist = lambda X: np.linalg.norm(X - I, axis=(-2, -1)).max()
+    I = np.eye(state.space.dim)[:, :, None, None]
+    dist = lambda X: np.linalg.norm(X - I, axis=(0, 1)).max()
     rep = BoundsReport(
         max(dist(state.a), dist(state.a_facet)), max(dist(state.aaT), dist(state.aaT_facet)),
         min(state.min_ellip, state.min_ellip_facet), min(state.det.min(), state.det_facet.min()),

@@ -15,22 +15,27 @@ Every derivative is a pairing psi''(X, Y) = lam tr X tr Y + 2 mu X : Y of
 symmetric pairs s(X, Y) = sym(X^T Y), or a product with c(s) = lam tr(s) I
 + 2 mu s, evaluated on component-major fields (see `pointwise`).  A `Pairs`
 table forms each pair of its fields once, so the energy report shares them
-across all its forms; the point-major methods (``d2_form`` ...) wrap the
-same forms for single arrays.  Contraction slot order never matters: all
-derivative tensors of a scalar function are fully symmetric in their
-matrix slots.
+across all its forms; the kernels, the report and the checks all call
+these forms.  Contraction slot order never matters: all derivative tensors
+of a scalar function are fully symmetric in their matrix slots.
 """
 
 import numpy as np
 
 from .errors import ConfigError
-from .pointwise import cm, frob, matvec, mul, pair, pm, sym, tr
+from .pointwise import frob, matvec, mul, pair, sym, tr
 
 # 2-point Gauss-Legendre rule on [0, 1]: exact for cubics in s
 GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
 GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
 KINDS = {"linear-isotropic": 0, "saint-venant-kirchhoff": 1}
+
+# the derivative chain check: random states near the identity, their seed,
+# and the central-difference step
+CHAIN_SAMPLES = 100
+CHAIN_SEED = 1234
+CHAIN_STEP = 1e-5
 
 
 class Pairs:
@@ -45,11 +50,6 @@ class Pairs:
     def __init__(self, grads):
         self.X = list(grads)
         self._s = {}
-
-    @classmethod
-    def of(cls, *grads):
-        """Pairs of point-major arrays (..., d, d), broadcast against each other."""
-        return cls(cm(X) for X in np.broadcast_arrays(*(np.asarray(X, dtype=float) for X in grads)))
 
     def sym(self, a):
         if ("sym", a) not in self._s:
@@ -95,9 +95,9 @@ class StressLaw:
         E = scale * p.sym(0)
         return E + 0.5 * scale**2 * p.s(0, 0) if self._svk else E
 
-    def stress(self, p, scale=1.0):
+    def stress(self, p):
         """S(F) = c(E(F))."""
-        return self.c(self.strain(p, scale))
+        return self.c(self.strain(p))
 
     def pk1(self, p):
         """DW(F) = F S(F); S for the linear model."""
@@ -110,7 +110,6 @@ class MaterialModel(StressLaw):
 
     The forms act on `Pairs` tables: index 0 is the base displacement
     gradient, F = I + scale Dw, and the other indices are the directions.
-    The point-major methods (``d2_form`` ...) wrap them for single arrays.
 
     Parameters
     ----------
@@ -129,7 +128,7 @@ class MaterialModel(StressLaw):
         self.kind = kind
         # equilibrium at the identity, checked numerically
         for d in (2, 3):
-            res = np.linalg.norm(self.piola_stress(np.eye(d)))
+            res = self.h1_residual(d)
             if res > 1e-12:
                 raise ConfigError(f"model violates DW(I)=0, residual {res}")
 
@@ -150,20 +149,20 @@ class MaterialModel(StressLaw):
         return (psi(s(a, b), self._sF(p, c, scale)) + psi(s(a, c), self._sF(p, b, scale))
                 + psi(s(b, c), self._sF(p, a, scale)))
 
-    def contract2(self, p, a, scale=1.0):
-        """Matrix l_{X_a} D^2W(F) = F c(s(F, X_a)) + X_a S(F)."""
-        C = self.c(self._sF(p, a, scale))
+    def contract2(self, p, a):
+        """Matrix l_{X_a} D^2W(F) = F c(s(F, X_a)) + X_a S(F), F = I + Dw."""
+        C = self.c(self._sF(p, a, 1.0))
         if not self._svk:
             return C
-        return C + scale * mul(p.X[0], C) + mul(p.X[a], self.stress(p, scale))
+        return C + mul(p.X[0], C) + mul(p.X[a], self.stress(p))
 
-    def contract3(self, p, a, b, scale=1.0):
-        """Matrix l_{X_b} l_{X_a} D^3W(F)."""
+    def contract3(self, p, a, b):
+        """Matrix l_{X_b} l_{X_a} D^3W(F), F = I + Dw."""
         if not self._svk:
             return np.zeros(p.X[0].shape)
         Cab = self.c(p.s(a, b))
-        return (mul(p.X[b], self.c(self._sF(p, a, scale))) + Cab + scale * mul(p.X[0], Cab)
-                + mul(p.X[a], self.c(self._sF(p, b, scale))))
+        return (mul(p.X[b], self.c(self._sF(p, a, 1.0))) + Cab + mul(p.X[0], Cab)
+                + mul(p.X[a], self.c(self._sF(p, b, 1.0))))
 
     def contract4(self, p, a, b, c):
         """Matrix l_{X_c} l_{X_b} l_{X_a} D^4W (independent of F)."""
@@ -188,92 +187,44 @@ class MaterialModel(StressLaw):
         """(l_{X_a} D^2W(F)) nu, nu a component-major vector field."""
         return matvec(self.contract2(p, a), nu)
 
-    # -- the same forms on point-major arrays (..., d, d): F = I + Dw --------------
-
-    def energy_density(self, F):
-        E = self.strain(Pairs.of(_minus_identity(F)))
-        return 0.5 * self.psi2(E, E)
-
-    def piola_stress(self, F):
-        return pm(self.pk1(Pairs.of(_minus_identity(F))))
-
-    def d2_contract(self, F, G):
-        return pm(self.contract2(Pairs.of(_minus_identity(F), G), 1))
-
-    def d3_contract(self, F, G, H):
-        return pm(self.contract3(Pairs.of(_minus_identity(F), G, H), 1, 2))
-
-    def d4_contract(self, G, H, K):
-        return pm(self.contract4(Pairs.of(G, G, H, K), 1, 2, 3))
-
-    def d2_form(self, F, G, H):
-        return self.form2(Pairs.of(_minus_identity(F), G, H), 1, 2)
-
-    def d3_form(self, F, A, B, C):
-        return self.form3(Pairs.of(_minus_identity(F), A, B, C), 1, 2, 3)
-
-    def secant_form(self, Dw, G, H):
-        return self.secant(Pairs.of(Dw, G, H), 1, 2)
-
-    def secant_contract(self, Dw, G):
-        """Matrix l_G N_w; reproduces DW(I + Dw) at G = Dw."""
-        p = Pairs.of(Dw, G)
-        return pm(sum(w * self.contract2(p, 1, s) for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS)))
-
-    def nprime_form(self, Dw, A, B, C):
-        return self.nprime(Pairs.of(Dw, A, B, C), 1, 2, 3)
-
-    def nprime_contract(self, Dw, G, H):
-        """int_0^1 s l_H l_G D^3W(I + s Dw) ds."""
-        return pm(0.5 * self.contract3(Pairs.of(Dw, G, H), 1, 2, 2.0 / 3.0))
-
-    def traction(self, Dw, nu):
-        """Interface traction DW(Dw + I) nu."""
-        P = self.pk1(Pairs.of(Dw))
-        return np.moveaxis(matvec(P, np.moveaxis(np.asarray(nu, dtype=float), -1, 0)), 0, -1)
-
     # -- hypothesis checks ---------------------------------------------------------
 
     def h1_residual(self, dim=3):
-        return float(np.linalg.norm(self.piola_stress(np.eye(dim))))
+        """|DW(I)|, which equilibrium at the identity makes zero."""
+        return float(np.linalg.norm(self.pk1(Pairs([np.zeros((dim, dim))]))))
 
-    def ellipticity_margin(self, F=None, dim=3, nsamples=10000, rng=None):
-        """Sampled min of D^2W(F)(b1 x b2, b1 x b2) over random unit pairs."""
+    def ellipticity_margin(self, dim=3, nsamples=10000, rng=None):
+        """Sampled min of D^2W(I)(b1 x b2, b1 x b2) over random unit pairs."""
         rng = rng or np.random.default_rng(0)
-        if F is None:
-            F = np.eye(dim)
-        F = np.asarray(F, dtype=float)
-        d = F.shape[-1]
-        b1 = rng.standard_normal((nsamples, d))
-        b2 = rng.standard_normal((nsamples, d))
+        b1 = rng.standard_normal((nsamples, dim))
+        b2 = rng.standard_normal((nsamples, dim))
         b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
         b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
-        G = np.einsum("ni,nj->nij", b1, b2)
-        vals = self.d2_form(F, G, G)
-        return float(vals.min())
+        G = b1.T[:, None] * b2.T[None, :]
+        return float(self.form2(Pairs([np.zeros_like(G), G]), 1, 1).min())
 
-    def derivative_chain_errors(self, dim=2, n=100, step=1e-5, seed=1234):
+    def derivative_chain_errors(self, dim=2):
         """Max relative error of each D^kW against central differences of
-        D^{k-1}W along random directions near the identity."""
-        rng = np.random.default_rng(seed)
-        I = np.eye(dim)
+        D^{k-1}W along random directions G near the identity."""
+        rng = np.random.default_rng(CHAIN_SEED)
+        h = CHAIN_STEP
+        energy = lambda q: 0.5 * self.psi2(self.strain(q), self.strain(q))
+        # DW, then D^kW with k - 1 slots filled by the direction G (field 1)
+        chain = [self.pk1, lambda q: self.contract2(q, 1),
+                 lambda q: self.contract3(q, 1, 1), lambda q: self.contract4(q, 1, 1, 1)]
         errs = np.zeros(4)
-        for _ in range(n):
-            F = I + 0.05 * rng.standard_normal((dim, dim))
+        for _ in range(CHAIN_SAMPLES):
+            Dw = 0.05 * rng.standard_normal((dim, dim))
             G = rng.standard_normal((dim, dim))
             G /= np.linalg.norm(G)
-            fd = (self.energy_density(F + step * G) - self.energy_density(F - step * G)) / (2 * step)
-            ex = np.einsum("ia,ia->", self.piola_stress(F), G)
+            # tables at Dw - h G, Dw and Dw + h G, each with the direction G
+            lo, p, hi = (Pairs([Dw + s * h * G, G]) for s in (-1, 0, 1))
+            fd = (energy(hi) - energy(lo)) / (2 * h)
+            ex = frob(self.pk1(p), G)
             errs[0] = max(errs[0], abs(fd - ex) / max(1e-30, abs(ex) + 1e-12))
-            fd = (self.piola_stress(F + step * G) - self.piola_stress(F - step * G)) / (2 * step)
-            ex = self.d2_contract(F, G)
-            errs[1] = max(errs[1], _relerr(fd, ex))
-            fd = (self.d2_contract(F + step * G, G) - self.d2_contract(F - step * G, G)) / (2 * step)
-            ex = self.d3_contract(F, G, G)
-            errs[2] = max(errs[2], _relerr(fd, ex))
-            fd = (self.d3_contract(F + step * G, G, G) - self.d3_contract(F - step * G, G, G)) / (2 * step)
-            ex = self.d4_contract(G, G, G)
-            errs[3] = max(errs[3], _relerr(fd, ex))
+            for k in range(1, 4):
+                fd = (chain[k - 1](hi) - chain[k - 1](lo)) / (2 * h)
+                errs[k] = max(errs[k], _relerr(fd, chain[k](p)))
         return errs
 
 
@@ -284,11 +235,6 @@ def _relerr(a, b):
 
 def make_material(kind, lam=1.0, mu=1.0):
     return MaterialModel(kind, lam, mu)
-
-
-def _minus_identity(F):
-    F = np.asarray(F, dtype=float)
-    return F - np.eye(F.shape[-1])
 
 
 def remainder_bracket(model, pairs, j):

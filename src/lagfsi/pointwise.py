@@ -12,13 +12,9 @@ import numpy as np
 
 
 def cm(X):
-    """Component-major view (d, d, ...) of a point-major array (..., d, d)."""
+    """Component-major view (d, d, ...) of a point-major array (..., d, d),
+    such as the gradients of manufactured fields."""
     return np.moveaxis(X, (-2, -1), (0, 1))
-
-
-def pm(X):
-    """Point-major view (..., d, d) of a component-major array (d, d, ...)."""
-    return np.moveaxis(X, (0, 1), (-2, -1))
 
 
 def tr(X):

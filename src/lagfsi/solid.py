@@ -22,28 +22,18 @@ NEWMARK_GAMMA = 0.5
 
 def internal_force(model, space, w):
     """Assembled <DW(Dw + I), D phi> over the solid."""
-    d = space.dim
-    F = space.grad_qp(w) + np.eye(d)
-    P = kernels.pk1(np.ascontiguousarray(F), model.lam, model.mu, KINDS[model.kind])
-    elem = kernels.elem_residual(P, np.ascontiguousarray(space.gradq), space.wdet)
+    Dw = space.gradients([w])[:, :, 0]
+    P = kernels.pk1(Dw, model.lam, model.mu, KINDS[model.kind])
+    elem = kernels.elem_residual(P, space.gradt, space.wdet)
     return space.scatter_vector(elem.reshape(len(space.cells), -1))
 
 
 def stiffness_matrix(model, space, w):
     """Assembled Hessian form <l_{D phi} D^2W(Dw + I), D psi>."""
-    d = space.dim
-    F = space.grad_qp(w) + np.eye(d)
-    K = kernels.elem_tangent(
-        np.ascontiguousarray(F),
-        np.ascontiguousarray(space.gradq),
-        space.wdet,
-        model.lam,
-        model.mu,
-        KINDS[model.kind],
-    )
-    nc = len(space.cells)
-    nloc = space.nloc
-    return space.scatter_matrix(K.reshape(nc, nloc * d, nloc * d))
+    Dw = space.gradients([w])[:, :, 0]
+    K = kernels.elem_tangent(Dw, space.gradt, space.wdet, model.lam, model.mu, KINDS[model.kind])
+    n = space.nloc * space.dim
+    return space.scatter_matrix(K.reshape(len(space.cells), n, n))
 
 
 def solid_residual(model, space, mass, w, w_tt, load=None):

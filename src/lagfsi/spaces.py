@@ -8,7 +8,6 @@ Vector dofs interleave components node-major: dof = scalar_dof * ncomp + comp.
 import numpy as np
 
 from . import mesh as meshmod
-from .pointwise import pm
 from .quadrature import facet_rule, simplex_rule
 from .solid import lu_factor
 from .sparsity import Assembly, element_pattern, expand, expand_diagonal
@@ -168,9 +167,9 @@ class FieldSpace:
         Jinv = np.linalg.inv(J)
         self.detJ = detJ
         self.Jinv = Jinv
-        # physical gradients: grad phi = Jinv^T grad_ref phi
-        self.gradq = gref @ Jinv[:, None]                     # (ncr, nq, nloc, d)
-        self.gradt = np.ascontiguousarray(self.gradq.transpose(0, 2, 3, 1))  # (ncr, nloc, d, nq)
+        # physical gradients grad phi = Jinv^T grad_ref phi, as the table
+        # (ncr, nloc, d, nq) that every gradient evaluation and kernel reads
+        self.gradt = np.ascontiguousarray((gref @ Jinv[:, None]).transpose(0, 2, 3, 1))
         self.wdet = qw[None, :] * detJ[:, None]               # (ncr, nq)
         self.xq = verts[:, 0][:, None, :] + qp @ np.swapaxes(J, 1, 2)
         Href = basis_hessians(d, self.degree)                 # (nloc, d, d)
@@ -209,10 +208,6 @@ class FieldSpace:
 
     def _as_nodal(self, dofs):
         return np.asarray(dofs).reshape(self.nscalar, self.ncomp)
-
-    def grad_qp(self, dofs):
-        """Gradient of one field, point-major and contiguous: (ncr, nq, ncomp, d)."""
-        return np.ascontiguousarray(pm(self.gradients([dofs])[:, :, 0]))
 
     def values(self, fields):
         """Values (ncomp, K, ncr, nq) of K fields at the quadrature points."""

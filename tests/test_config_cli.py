@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lagfsi import cli
+from lagfsi import cli, initial_data, material
 from lagfsi.config import RunConfig, parse_config
 from lagfsi.errors import ConfigError, PreconditionError
 
@@ -57,6 +57,23 @@ def test_type_mismatch():
 def test_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\ngamma = 0.5  # trailing\n")
     assert cfg.gamma == 0.5
+
+
+def test_kinds_and_modes_are_read_from_their_modules(monkeypatch):
+    # the config keeps no copy of either list: what the material and the
+    # initial-data modules accept is what a config file may name
+    monkeypatch.setattr(material, "KINDS", {**material.KINDS, "rubber": 0})
+    monkeypatch.setattr(initial_data, "INIT_MODES", initial_data.INIT_MODES + ("vortex",))
+    cfg = parse_config("material.kind = rubber\ninit.mode = vortex")
+    assert (cfg.material_kind, cfg.init_mode) == ("rubber", "vortex")
+
+
+def test_unknown_init_mode_is_a_config_error():
+    # as an unknown material kind is, also for a library caller
+    with pytest.raises(ConfigError, match="init mode"):
+        RunConfig(init_mode="x").make_initial_data()
+    with pytest.raises(ConfigError, match="material kind"):
+        RunConfig(material_kind="x").make_material()
 
 
 def test_radius_cross_validation():

@@ -20,39 +20,16 @@ from lagfsi.mesh import SOLID, build_annular_mesh
 from lagfsi.pointwise import cm
 from lagfsi.solid import NEWMARK_BETA, NEWMARK_GAMMA, stiffness_matrix
 
+from test_material import energy_density, piola_stress, pm, secant_form
+
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
 
 
 def grad_norm_sq(space, dofs):
     """||D u||^2 over `space` of the field with dofs `dofs`."""
-    g = space.grad_qp(dofs)
-    return space.integrate(np.einsum("cqki,cqki->cq", g, g))
-
-
-class StaticDisplacement:
-    """Time-independent base displacement with closed-form derivatives;
-    doubles as the base field of frozen-coefficient operators."""
-
-    def __init__(self, grad_const=None, quadratic=0.0, d=2):
-        self.d = d
-        self.G = np.zeros((d, d)) if grad_const is None else np.asarray(grad_const, float)
-        self.q = float(quadratic)
-
-    def value(self, x):
-        out = x @ self.G.T
-        out[..., 0] += self.q * x[..., 0] ** 2
-        return out
-
-    def grad(self, x):
-        out = np.broadcast_to(self.G, x.shape[:-1] + (self.d, self.d)).copy()
-        out[..., 0, 0] += 2 * self.q * x[..., 0]
-        return out
-
-    def hess(self, x):
-        out = np.zeros(x.shape[:-1] + (self.d, self.d, self.d))
-        out[..., 0, 0, 0] = 2 * self.q
-        return out
+    g = space.gradients([dofs])[:, :, 0]
+    return space.integrate(np.einsum("ki...,ki...->...", g, g))
 
 
 def perturbation_integral_R1(reports, window=None):
@@ -144,11 +121,11 @@ def test_level_energy_secant_oracle(problem):
     state.w = ss.interpolate(
         lambda x: 1e-2 * np.array([np.sin(3 * x[0]) + x[1] ** 2, x[0] * x[1]])
     )
-    Dw = ss.grad_qp(state.w)
-    quad = ss.integrate(model.secant_form(Dw, Dw, Dw))
-    ftc = ss.integrate(np.einsum("cqib,cqib->cq", model.piola_stress(Dw + np.eye(2)), Dw))
+    Dw = pm(ss.gradients([state.w])[:, :, 0])
+    quad = ss.integrate(secant_form(model, Dw, Dw, Dw))
+    ftc = ss.integrate(np.einsum("cqib,cqib->cq", piola_stress(model, Dw + np.eye(2)), Dw))
     assert quad == pytest.approx(ftc, rel=1e-12)
-    two_dw = 2 * ss.integrate(model.energy_density(Dw + np.eye(2)))
+    two_dw = 2 * ss.integrate(energy_density(model, Dw + np.eye(2)))
     assert abs(quad - two_dw) < 0.1 * abs(quad)
     assert abs(quad - two_dw) > 0  # the forms differ beyond quadratic order
 
@@ -272,10 +249,8 @@ def test_multiplier_identity_constant(problem):
     H = RadialMultiplier([0.0, 0.0])
     xi = ScalarField(lambda x: np.ones(x.shape[:-1]), lambda x: np.zeros_like(x))
     const = constant_displacement([0.3, 0.1])
-    for flavor in ("secant", "hessian"):
-        r36, r37 = multiplier_identity_residual(
-            mesh, model, const, H, 1.5, xi, (0.0, 1.0), flavor=flavor)
-        assert abs(r36) <= 1e-10 and abs(r37) <= 1e-10
+    r36, r37 = multiplier_identity_residual(mesh, model, const, H, 1.5, xi, (0.0, 1.0))
+    assert abs(r36) <= 1e-10 and abs(r37) <= 1e-10
 
 
 def test_multiplier_identity_quadrature_refinement(problem):
@@ -289,27 +264,10 @@ def test_multiplier_identity_quadrature_refinement(problem):
     res = []
     for deg in (1, 2, 3, 5):
         r36, r37 = multiplier_identity_residual(
-            mesh, model, poly, H, 1.5, xi, (0.0, 1.0), flavor="hessian",
-            quad_degree=deg)
+            mesh, model, poly, H, 1.5, xi, (0.0, 1.0), quad_degree=deg)
         res.append(max(abs(r36), abs(r37)))
     assert res[-1] <= 1e-8
     assert res[0] > res[-1]
-
-
-def test_multiplier_identity_nonzero_base(problem):
-    # exercises the coefficient-gradient terms of both operator flavors
-    prob, model = problem
-    base = StaticDisplacement(grad_const=0.02 * np.array([[1.0, 0.3], [0.1, 0.6]]),
-                              quadratic=0.05, d=2)
-    poly = sin_quadratic_displacement(2, scale=0.3)
-    H = RadialMultiplier([0.05, -0.02])
-    xi = ScalarField(
-        lambda x: 1.0 + 0.5 * x[..., 0],
-        lambda x: np.stack([0.5 * np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1))
-    for flavor in ("secant", "hessian"):
-        r36, r37 = multiplier_identity_residual(
-            prob.mesh, model, poly, H, 1.5, xi, (0.2, 0.9), base=base, flavor=flavor)
-        assert abs(r36) <= 1e-10 and abs(r37) <= 1e-10
 
 
 def test_fit_decay_rate_exact():
@@ -484,9 +442,8 @@ def test_report_contractions_match_einsum(problem, run60):
 
 def test_report_evaluates_each_derivative_once(run60, monkeypatch):
     # a full ring: each space and point set evaluates its stacked levels with
-    # one values call and one gradients call of the batched evaluators, which
-    # the single-field grad_qp also goes through (the pressure at the
-    # quadrature points is cached on the states)
+    # one values call and one gradients call of the batched evaluators (the
+    # pressure at the quadrature points is cached on the states)
     cfg, model, _, final = run60
     states = final.past()
     assert len(states) == 6

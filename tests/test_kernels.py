@@ -2,7 +2,9 @@
 
 The kernels, the quadrature-point evaluators, the pointwise d x d algebra
 and the material contractions are each checked against their einsum
-definition, kept here as the reference.  After editing a kernel, also
+definition, kept here as the reference.  The references are point-major,
+(nc, nq, ...); the library is component-major, so inputs go in through
+`cm` and outputs come back through `pm`.  After editing a kernel, also
 compare its cost:
 
     python3 perfbench/run.py --workload long2d-r5-g0 --trace 1
@@ -18,8 +20,10 @@ from lagfsi import kernels, pointwise
 from lagfsi.coupling import CoupledProblem
 from lagfsi.material import make_material
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
-from lagfsi.pointwise import cm, pm
-from lagfsi.spaces import FieldSpace
+from lagfsi.pointwise import cm
+from lagfsi.spaces import FieldSpace, basis_grads
+
+from test_material import d2_contract, d2_form, d3_contract, d3_form, d4_contract, pm
 
 RTOL = 1e-13
 
@@ -35,11 +39,21 @@ def _inputs(d, seed=0):
     return F, G, w, aaT, valp
 
 
+def table(G):
+    """The kernels' basis-gradient table (nc, na, d, nq) of point-major G."""
+    return np.ascontiguousarray(G.transpose(0, 2, 3, 1))
+
+
+def grad(F):
+    """Component-major Dw = F - I of point-major F."""
+    return cm(F - np.eye(F.shape[-1]))
+
+
 def test_inv_det_roundtrip():
     for d in (2, 3):
         F, *_ = _inputs(d, seed=3)
-        inv, det = kernels.inv_det(F)
-        assert np.abs(np.einsum("...ij,...jk->...ik", F, inv) - np.eye(d)).max() < 1e-12
+        inv, det = kernels.inv_det(cm(F))
+        assert np.abs(np.einsum("...ij,...jk->...ik", F, pm(inv)) - np.eye(d)).max() < 1e-12
         assert np.abs(det - np.linalg.det(F)).max() < 1e-12
 
 
@@ -51,12 +65,12 @@ def test_tangent_is_residual_derivative(d, kind):
     F, G, w, _, _ = _inputs(d, seed=5)
     U = np.random.default_rng(6).standard_normal((G.shape[0], G.shape[2], d))
     dF = np.einsum("cbj,cqbe->cqje", U, G)
-    K = kernels.elem_tangent(F, G, w, 1.3, 0.8, kind)
+    K = kernels.elem_tangent(grad(F), table(G), w, 1.3, 0.8, kind)
     KU = np.einsum("caibj,cbj->cai", K, U)
 
     def central(h):
-        Rp = kernels.elem_residual(kernels.pk1(F + h * dF, 1.3, 0.8, kind), G, w)
-        Rm = kernels.elem_residual(kernels.pk1(F - h * dF, 1.3, 0.8, kind), G, w)
+        Rp = kernels.elem_residual(kernels.pk1(grad(F + h * dF), 1.3, 0.8, kind), table(G), w)
+        Rm = kernels.elem_residual(kernels.pk1(grad(F - h * dF), 1.3, 0.8, kind), table(G), w)
         return np.abs((Rp - Rm) / (2 * h) - KU).max() / np.abs(KU).max()
 
     if kind == 0:  # linear stress: the difference quotient is exact
@@ -70,7 +84,7 @@ def test_tangent_is_residual_derivative(d, kind):
 @pytest.mark.parametrize("d", [2, 3])
 def test_visc_elements_symmetric(d):
     _, G, w, aaT, _ = _inputs(d, seed=7)
-    K = kernels.visc_elements(aaT, G, w)
+    K = kernels.visc_elements(cm(aaT), table(G), w)
     assert np.abs(K - np.swapaxes(K, 1, 2)).max() < 1e-12 * np.abs(K).max()
 
 
@@ -165,20 +179,21 @@ def _close(new, ref):
 @pytest.mark.parametrize("d", [2, 3])
 def test_assembly_kernels_match_einsum(d):
     F, G, w, aaT, valp = _inputs(d, seed=11)
-    a, _ = kernels.inv_det(F)
-    assert _close(kernels.visc_elements(aaT, G, w), _ref_visc_elements(aaT, G, w))
-    assert _close(kernels.div_elements(a, G, valp, w), _ref_div_elements(a, G, valp, w))
+    a, _ = kernels.inv_det(cm(F))
+    assert _close(kernels.visc_elements(cm(aaT), table(G), w), _ref_visc_elements(aaT, G, w))
+    assert _close(kernels.div_elements(a, table(G), valp, w),
+                  _ref_div_elements(pm(a), G, valp, w))
     for kind in (0, 1):
-        P = kernels.pk1(F, 1.3, 0.8, kind)
-        assert _close(P, _ref_pk1(F, 1.3, 0.8, kind))
-        assert _close(kernels.elem_residual(P, G, w), _ref_elem_residual(P, G, w))
+        P = kernels.pk1(grad(F), 1.3, 0.8, kind)
+        assert _close(pm(P), _ref_pk1(F, 1.3, 0.8, kind))
+        assert _close(kernels.elem_residual(P, table(G), w), _ref_elem_residual(pm(P), G, w))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", [0, 1])
 def test_elem_tangent_matches_einsum(d, kind):
     F, G, w, _, _ = _inputs(d, seed=12)
-    K = kernels.elem_tangent(F, G, w, 1.3, 0.8, kind)
+    K = kernels.elem_tangent(grad(F), table(G), w, 1.3, 0.8, kind)
     assert _close(K, _ref_elem_tangent(F, G, w, 1.3, 0.8, kind))
 
 
@@ -190,10 +205,11 @@ def test_field_evaluators_match_einsum(d):
         space = FieldSpace(mesh, region, 2, ncomp)
         dofs = rng.standard_normal((3, space.ndof))
         u = dofs.reshape(3, space.nscalar, ncomp)[:, space.cell_dofs]
-        assert _close(space.grad_qp(dofs[0]), np.einsum("cqai,cak->cqki", space.gradq, u[0]))
+        # physical basis gradients from the reference ones and each cell's Jinv
+        grads = np.einsum("qaj,cji->cqai", basis_grads(d, 2, space.qp), space.Jinv)
         # the batched evaluators: component-major, one level per field
         assert _close(space.values(dofs), np.einsum("qa,lcak->klcq", space.val, u))
-        assert _close(space.gradients(dofs), np.einsum("cqai,lcak->kilcq", space.gradq, u))
+        assert _close(space.gradients(dofs), np.einsum("cqai,lcak->kilcq", grads, u))
         assert _close(space.hess_cells(dofs), np.einsum("caij,lcak->clkij", space.hessq, u))
 
 
@@ -244,12 +260,12 @@ def test_material_contractions_match_einsum(d):
         mdl = make_material(kind, 1.3, 0.8)
         svk = kind == "saint-venant-kirchhoff"
         zero = np.zeros_like(G)
-        assert _close(mdl.d2_contract(F, G), _ref_d2_contract(mdl, F, G))
-        assert _close(mdl.d3_contract(F, G, H), _ref_d3_contract(mdl, F, G, H) if svk else zero)
-        assert _close(mdl.d4_contract(G, H, K), _ref_d4_contract(mdl, G, H, K) if svk else zero)
+        assert _close(d2_contract(mdl, F, G), _ref_d2_contract(mdl, F, G))
+        assert _close(d3_contract(mdl, F, G, H), _ref_d3_contract(mdl, F, G, H) if svk else zero)
+        assert _close(d4_contract(mdl, G, H, K), _ref_d4_contract(mdl, G, H, K) if svk else zero)
         # the scalar forms are the contracted matrices paired with the last slot
-        assert _close(mdl.d2_form(F, G, H), pairing(_ref_d2_contract(mdl, F, G), H))
+        assert _close(d2_form(mdl, F, G, H), pairing(_ref_d2_contract(mdl, F, G), H))
         if svk:
-            assert _close(mdl.d3_form(F, G, H, K), pairing(_ref_d3_contract(mdl, F, G, H), K))
+            assert _close(d3_form(mdl, F, G, H, K), pairing(_ref_d3_contract(mdl, F, G, H), K))
         # one unbatched operand broadcasts as in the einsum "..." form
-        assert _close(mdl.d2_contract(np.eye(d), G), _ref_d2_contract(mdl, np.eye(d), G))
+        assert _close(d2_contract(mdl, np.eye(d), G), _ref_d2_contract(mdl, np.eye(d), G))

@@ -1,9 +1,15 @@
-"""Tooling guard: the library holds only what library code calls.
+"""Tooling guards: the library holds only what library code calls.
 
 Every module-level function or class of `src/lagfsi`, and every non-dunder
 method, must be referenced by library code outside its own definition.
 The names of `lagfsi.__all__` and the console entry point `cli.main` are
 the only exemptions.  A helper that only tests call belongs in the tests.
+
+Every optional parameter of a library function, method or constructor must
+be set by some library call outside its own definition: by keyword, by
+position, or through `*` / `**`.  The console entry point `cli.main` is the
+only exemption.  A knob that only tests turn is not a library feature.
+Calls are matched by bare name, as references are above.
 """
 
 import ast
@@ -79,3 +85,85 @@ def test_guard_flags_a_test_only_helper(tmp_path):
     )
     (tmp_path / "user.py").write_text("from .mod import Box, used\n\nx = used(), Box()\n")
     assert unreferenced_names(tmp_path) == ["mod.recursive", "mod.Box.only_tests"]
+
+
+def _optional_parameters(module, tree):
+    """(module, qualified name, called name, definition node, optional
+    parameters) of each module-level function and each method; the called
+    name of `__init__` is its class.  Each optional parameter is (name,
+    position after any self, or None for keyword-only)."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+
+    def optional(fn, method):
+        args = fn.args
+        pos = (args.posonlyargs + args.args)[1 if method else 0:]
+        out = [(p.arg, i) for i, p in enumerate(pos) if i >= len(pos) - len(args.defaults)]
+        return out + [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            out.append((module, node.name, node.name, node, optional(node, False)))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    called = node.name if item.name == "__init__" else item.name
+                    out.append((module, f"{node.name}.{item.name}", called, item,
+                                optional(item, True)))
+    return out
+
+
+def _calls(module, tree):
+    """(module, line, called name, positional count, keywords, starred) of
+    every call by name or attribute; starred is set by `*` or `**`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+        yield module, node.lineno, name, len(node.args), {k.arg for k in node.keywords}, starred
+
+
+def unset_optional_parameters(src=SRC):
+    signatures, calls = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        signatures += _optional_parameters(path.stem, tree)
+        calls += _calls(path.stem, tree)
+    unset = []
+    for module, qualname, called, node, optional in signatures:
+        if (module, qualname) in EXEMPT:
+            continue
+        outside = [c for c in calls if c[2] == called
+                   and not (c[0] == module and node.lineno <= c[1] <= node.end_lineno)]
+        for param, position in optional:
+            if not any(param in keywords or starred or (position is not None and npos > position)
+                       for _, _, _, npos, keywords, starred in outside):
+                unset.append(f"{module}.{qualname}({param})")
+    return unset
+
+
+def test_every_optional_parameter_is_set_by_a_library_call():
+    assert unset_optional_parameters() == []
+
+
+def test_guard_flags_a_test_only_parameter(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, by_position=1, by_keyword=2, only_tests=3, *, kw_only=4):\n"
+        "    return f(a, 0, 0, 0, kw_only=0)\n\n\n"
+        "def g(a, through_star=1, through_dstar=2):\n    return a\n\n\n"
+        "class Box:\n    def __init__(self, size=1, colour=2):\n        self.size = size\n\n"
+        "    def open(self, wide=False):\n        return wide\n"
+    )
+    (tmp_path / "user.py").write_text(
+        "from .mod import Box, f, g\n\n"
+        "x = f(1, 2, by_keyword=3), g(*[1, 2]), g(1, **{}), Box(colour=0).open(True)\n"
+    )
+    assert unset_optional_parameters(tmp_path) == [
+        "mod.f(only_tests)", "mod.f(kw_only)", "mod.Box.__init__(size)",
+    ]

@@ -4,7 +4,10 @@ multilinearity and the commutator remainders.
 The full derivative tensors and the stress rates along a path are built
 here from the model's contracted forms and Lame parameters, as references
 for those forms; criterion 3 of the acceptance suite imports
-`stress_rates` from this module.
+`stress_rates` from this module.  The library's forms act on component-major
+`Pairs` tables; the one-line adapters below give them point-major
+arrays (..., d, d) in and out, with F = I + Dw, for the tests here and in
+the other modules.
 """
 
 from types import SimpleNamespace
@@ -13,7 +16,10 @@ import numpy as np
 import pytest
 
 from lagfsi.errors import ConfigError
-from lagfsi.material import GAUSS2_NODES, Pairs, make_material, remainder_bracket
+from lagfsi.material import (
+    GAUSS2_NODES, GAUSS2_WEIGHTS, Pairs, make_material, remainder_bracket,
+)
+from lagfsi.pointwise import cm
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -23,6 +29,73 @@ LIN = "linear-isotropic"
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 GAUSS5_NODES = (GAUSS5_NODES + 1) / 2
 GAUSS5_WEIGHTS = GAUSS5_WEIGHTS / 2
+
+
+def pm(X):
+    """Point-major view (..., d, d) of a component-major array (d, d, ...)."""
+    return np.moveaxis(X, (0, 1), (-2, -1))
+
+
+def pairs(*grads):
+    """The Pairs table of point-major arrays, broadcast against each other."""
+    return Pairs([cm(X) for X in np.broadcast_arrays(*(np.asarray(X, float) for X in grads))])
+
+
+def minus_identity(F):
+    return np.asarray(F, dtype=float) - np.eye(np.shape(F)[-1])
+
+
+def energy_density(mdl, F):
+    E = mdl.strain(pairs(minus_identity(F)))
+    return 0.5 * mdl.psi2(E, E)
+
+
+def piola_stress(mdl, F):
+    return pm(mdl.pk1(pairs(minus_identity(F))))
+
+
+def d2_contract(mdl, F, G):
+    return pm(mdl.contract2(pairs(minus_identity(F), G), 1))
+
+
+def d3_contract(mdl, F, G, H):
+    return pm(mdl.contract3(pairs(minus_identity(F), G, H), 1, 2))
+
+
+def d4_contract(mdl, G, H, K):
+    return pm(mdl.contract4(pairs(G, G, H, K), 1, 2, 3))
+
+
+def d2_form(mdl, F, G, H):
+    return mdl.form2(pairs(minus_identity(F), G, H), 1, 2)
+
+
+def d3_form(mdl, F, A, B, C):
+    return mdl.form3(pairs(minus_identity(F), A, B, C), 1, 2, 3)
+
+
+def secant_form(mdl, Dw, G, H):
+    return mdl.secant(pairs(Dw, G, H), 1, 2)
+
+
+def secant_contract(mdl, Dw, G):
+    """Matrix l_G N_w by the 2-point rule; reproduces DW(I + Dw) at G = Dw."""
+    return sum(w * pm(mdl.contract2(pairs(s * Dw, G), 1))
+               for s, w in zip(GAUSS2_NODES, GAUSS2_WEIGHTS))
+
+
+def nprime_form(mdl, Dw, A, B, C):
+    return mdl.nprime(pairs(Dw, A, B, C), 1, 2, 3)
+
+
+def nprime_contract(mdl, Dw, G, H):
+    """int_0^1 s l_H l_G D^3W(I + s Dw) ds = 1/2 l_H l_G D^3W(I + 2/3 Dw)."""
+    return 0.5 * pm(mdl.contract3(pairs(2.0 / 3.0 * Dw, G, H), 1, 2))
+
+
+def traction(mdl, Dw, nu):
+    """Interface traction DW(Dw + I) nu."""
+    return np.einsum("...ij,...j->...i", pm(mdl.pk1(pairs(Dw))), nu)
 
 
 def gauss5(f):
@@ -107,22 +180,22 @@ def stress_rates(model, Dw, rates):
     if n < 1:
         raise ConfigError("stress_rates needs at least the first rate Dw_t")
     G = [np.asarray(r, dtype=float) for r in rates]
-    out = SimpleNamespace(C=model.piola_stress(F), Cdot=model.d2_contract(F, G[0]),
+    out = SimpleNamespace(C=piola_stress(model, F), Cdot=d2_contract(model, F, G[0]),
                           Cddot=None, C3=None, C4=None)
     if n >= 2:
-        out.Cddot = model.d2_contract(F, G[1]) + model.d3_contract(F, G[0], G[0])
+        out.Cddot = d2_contract(model, F, G[1]) + d3_contract(model, F, G[0], G[0])
     if n >= 3:
         out.C3 = (
-            model.d2_contract(F, G[2])
-            + 3 * model.d3_contract(F, G[0], G[1])
-            + model.d4_contract(G[0], G[0], G[0])
+            d2_contract(model, F, G[2])
+            + 3 * d3_contract(model, F, G[0], G[1])
+            + d4_contract(model, G[0], G[0], G[0])
         )
     if n >= 4:
         out.C4 = (
-            model.d2_contract(F, G[3])
-            + 4 * model.d3_contract(F, G[0], G[2])
-            + 3 * model.d3_contract(F, G[1], G[1])
-            + 6 * model.d4_contract(G[0], G[0], G[1])
+            d2_contract(model, F, G[3])
+            + 4 * d3_contract(model, F, G[0], G[2])
+            + 3 * d3_contract(model, F, G[1], G[1])
+            + 6 * d4_contract(model, G[0], G[0], G[1])
         )
     return out
 
@@ -135,13 +208,13 @@ def secant_tensor(mdl, Dw):
 
 def test_energy_density_values():
     mdl = make_material(SVK, 1.0, 1.0)
-    assert mdl.energy_density(np.eye(2)) == 0.0
+    assert energy_density(mdl, np.eye(2)) == 0.0
     # diag(1.1, 1): E = diag(0.105, 0), W = 1.5 * 0.105^2
     F = np.diag([1.1, 1.0])
-    assert mdl.energy_density(F) == pytest.approx(0.0165375, abs=1e-15)
+    assert energy_density(mdl, F) == pytest.approx(0.0165375, abs=1e-15)
     th = 0.3
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert abs(mdl.energy_density(R)) < 1e-15
+    assert abs(energy_density(mdl, R)) < 1e-15
 
 
 def test_piola_stress_equilibrium_and_fd():
@@ -149,13 +222,13 @@ def test_piola_stress_equilibrium_and_fd():
     for kind in (SVK, LIN):
         mdl = make_material(kind, 1.2, 0.7)
         for d in (2, 3):
-            assert np.linalg.norm(mdl.piola_stress(np.eye(d))) <= 1e-12
+            assert np.linalg.norm(piola_stress(mdl, np.eye(d))) <= 1e-12
             for _ in range(20):
                 F = np.eye(d) + 0.1 * rng.standard_normal((d, d))
                 G = rng.standard_normal((d, d))
                 h = 1e-5
-                fd = (mdl.energy_density(F + h * G) - mdl.energy_density(F - h * G)) / (2 * h)
-                ex = np.sum(mdl.piola_stress(F) * G)
+                fd = (energy_density(mdl, F + h * G) - energy_density(mdl, F - h * G)) / (2 * h)
+                ex = np.sum(piola_stress(mdl, F) * G)
                 assert abs(fd - ex) <= 1e-6 * max(1e-8, abs(ex))
 
 
@@ -164,7 +237,7 @@ def test_piola_stress_closed_form():
     F = np.diag([1.1, 1.0])
     E = 0.5 * (F.T @ F - np.eye(2))
     expect = F @ (np.trace(E) * np.eye(2) + 2 * E)
-    assert np.allclose(mdl.piola_stress(F), expect, atol=1e-15)
+    assert np.allclose(piola_stress(mdl, F), expect, atol=1e-15)
 
 
 def test_hessian_contraction_value():
@@ -201,7 +274,7 @@ def test_higher_derivative_structure():
     G = rng.standard_normal((2, 2))
     K = rng.standard_normal((2, 2))
     h = 1e-5
-    fd = (mdl.d2_contract(F1 + h * K, G) - mdl.d2_contract(F1 - h * K, G)) / (2 * h)
+    fd = (d2_contract(mdl, F1 + h * K, G) - d2_contract(mdl, F1 - h * K, G)) / (2 * h)
     ex = np.einsum("iajbkg,jb,kg->ia", higher_derivative(mdl, F1, 3), G, K)
     assert np.abs(fd - ex).max() <= 1e-6
     with pytest.raises(ConfigError):
@@ -229,8 +302,8 @@ def test_secant_fundamental_theorem():
         mdl = make_material(kind, 1.0, 1.0)
         for d in (2, 3):
             Dw = 0.1 * rng.standard_normal((d, d))
-            lhs = mdl.secant_form(Dw, Dw, Dw)
-            rhs = np.sum(mdl.piola_stress(np.eye(d) + Dw) * Dw)
+            lhs = secant_form(mdl, Dw, Dw, Dw)
+            rhs = np.sum(piola_stress(mdl, np.eye(d) + Dw) * Dw)
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -241,14 +314,14 @@ def test_secant_energy_split():
     Dw = rng.standard_normal((2, 2))
     lin = make_material(LIN, 1.0, 1.0)
     for s in (0.1, 0.05):
-        q = lin.secant_form(s * Dw, s * Dw, s * Dw)
-        e2 = 2 * (lin.energy_density(np.eye(2) + s * Dw) - lin.energy_density(np.eye(2)))
+        q = secant_form(lin, s * Dw, s * Dw, s * Dw)
+        e2 = 2 * (energy_density(lin, np.eye(2) + s * Dw) - energy_density(lin, np.eye(2)))
         assert q == pytest.approx(e2, rel=1e-12)
     svk = make_material(SVK, 1.0, 1.0)
     gaps = []
     for s in (0.1, 0.05):
-        q = svk.secant_form(s * Dw, s * Dw, s * Dw)
-        e2 = 2 * svk.energy_density(np.eye(2) + s * Dw)
+        q = secant_form(svk, s * Dw, s * Dw, s * Dw)
+        e2 = 2 * energy_density(svk, np.eye(2) + s * Dw)
         gaps.append(abs(q - e2))
     ratio = gaps[0] / gaps[1]
     assert 6.0 < ratio < 10.0  # cubic-order discrepancy halves thrice
@@ -260,9 +333,9 @@ def test_nprime_form_quadrature_oracle():
     Dw = 0.2 * rng.standard_normal((2, 2))
     A, B, C = (rng.standard_normal((2, 2)) for _ in range(3))
     s_dense = np.linspace(0, 1, 2001)
-    vals = np.array([s * mdl.d3_form(np.eye(2) + s * Dw, A, B, C) for s in s_dense])
+    vals = np.array([s * d3_form(mdl, np.eye(2) + s * Dw, A, B, C) for s in s_dense])
     dense = np.trapezoid(vals, s_dense)
-    assert mdl.nprime_form(Dw, A, B, C) == pytest.approx(dense, rel=1e-6)
+    assert nprime_form(mdl, Dw, A, B, C) == pytest.approx(dense, rel=1e-6)
 
 
 def test_traction():
@@ -270,14 +343,14 @@ def test_traction():
     nu = np.array([0.6, 0.8])
     for kind in (SVK, LIN):
         mdl = make_material(kind, 1.0, 1.0)
-        assert np.linalg.norm(mdl.traction(np.zeros((2, 2)), nu)) <= 1e-14
+        assert np.linalg.norm(traction(mdl, np.zeros((2, 2)), nu)) <= 1e-14
     lin0 = make_material(LIN, 0.0, 1.0)
     E = rng.standard_normal((2, 2))
     E = 0.5 * (E + E.T)
-    assert np.allclose(lin0.traction(E, nu), 2 * 1.0 * E @ nu, atol=1e-14)
+    assert np.allclose(traction(lin0, E, nu), 2 * 1.0 * E @ nu, atol=1e-14)
     svk = make_material(SVK, 1.0, 1.0)
     Dw = rng.standard_normal((2, 2))
-    norms = [np.linalg.norm(svk.traction(s * Dw, nu)) / s for s in (1e-3, 1e-4, 1e-5)]
+    norms = [np.linalg.norm(traction(svk, s * Dw, nu)) / s for s in (1e-3, 1e-4, 1e-5)]
     assert max(norms) < 10 * np.linalg.norm(Dw) * 10  # O(|Dw|) scaling
 
 
@@ -286,10 +359,10 @@ def test_linearized_traction():
     mdl = make_material(SVK, 1.0, 1.0)
     nu = np.array([0.0, 1.0])
     assert np.linalg.norm(mdl.linearized_traction(
-        Pairs.of(0.1 * rng.standard_normal((2, 2)), np.zeros((2, 2))), 1, nu)) == 0.0
+        pairs(0.1 * rng.standard_normal((2, 2)), np.zeros((2, 2))), 1, nu)) == 0.0
     # at zero base it reduces to the hessian-at-identity contraction
     Dphi = rng.standard_normal((2, 2))
-    got = mdl.linearized_traction(Pairs.of(np.zeros((2, 2)), Dphi), 1, nu)
+    got = mdl.linearized_traction(pairs(np.zeros((2, 2)), Dphi), 1, nu)
     H = hessian(mdl, np.eye(2))
     for X in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         expect = np.einsum("iajb,ia,jb->", H, Dphi, np.outer(X, nu))
@@ -298,8 +371,8 @@ def test_linearized_traction():
     Dw = 0.05 * rng.standard_normal((2, 2))
     errs = []
     for h in (1e-3, 5e-4):
-        fd = (mdl.traction(Dw + h * Dphi, nu) - mdl.traction(Dw, nu)) / h
-        errs.append(np.linalg.norm(fd - mdl.linearized_traction(Pairs.of(Dw, Dphi), 1, nu)))
+        fd = (traction(mdl, Dw + h * Dphi, nu) - traction(mdl, Dw, nu)) / h
+        errs.append(np.linalg.norm(fd - mdl.linearized_traction(pairs(Dw, Dphi), 1, nu)))
     assert errs[1] < 0.7 * errs[0]
 
 
@@ -336,7 +409,7 @@ def test_stress_rates_zero_and_fd_path():
     I = np.eye(d)
 
     def C(t):
-        return mdl.piola_stress(Dw(t) + I)
+        return piola_stress(mdl, Dw(t) + I)
 
     bundle = stress_rates(mdl, Dw(t0), rates(t0))
     errs = {}
@@ -365,14 +438,14 @@ def test_stress_rates_fourth_order_coefficients():
     Dw0 = 0.05 * rng.standard_normal((d, d))
     z = np.zeros((d, d))
     bundle = stress_rates(mdl, Dw0, [G, G, z, z])
-    direct = 3 * mdl.d3_contract(Dw0 + np.eye(d), G, G) + 6 * mdl.d4_contract(G, G, G)
+    direct = 3 * d3_contract(mdl, Dw0 + np.eye(d), G, G) + 6 * d4_contract(mdl, G, G, G)
     assert np.allclose(bundle.C4, direct, atol=1e-14)
 
     def Dw(t):
         return Dw0 + t * G + t * t * G / 2
 
     def C(t):
-        return mdl.piola_stress(Dw(t) + np.eye(d))
+        return piola_stress(mdl, Dw(t) + np.eye(d))
 
     errs = []
     for h in (0.04, 0.02):
@@ -400,7 +473,7 @@ def test_stress_rates_multilinearity():
     F = Dw + np.eye(d)
     for s in (1.0, 2.0):
         term = stress_rates(mdl, Dw, [s * G, z]).Cddot
-        assert np.allclose(term, s * s * mdl.d3_contract(F, G, G), atol=1e-12)
+        assert np.allclose(term, s * s * d3_contract(mdl, F, G, G), atol=1e-12)
 
 
 def test_stress_rates_arity():
@@ -416,21 +489,21 @@ def test_remainder_bracket():
     G1 = rng.standard_normal((d, d))
     G2 = rng.standard_normal((d, d))
     lin = make_material(LIN, 1.0, 1.0)
-    assert np.abs(remainder_bracket(lin, Pairs.of(Dw, G1, G2), 1)).max() == 0.0
+    assert np.abs(remainder_bracket(lin, pairs(Dw, G1, G2), 1)).max() == 0.0
     svk = make_material(SVK, 1.0, 1.0)
     z = np.zeros((d, d))
-    assert np.abs(remainder_bracket(svk, Pairs.of(Dw, z, z), 1)).max() == 0.0
+    assert np.abs(remainder_bracket(svk, pairs(Dw, z, z), 1)).max() == 0.0
     # term-by-term: the bracket is the second stress rate minus its
     # frozen-coefficient part, assembled here from the full tensors
     F = Dw + np.eye(d)
     D3 = higher_derivative(svk, F, 3)
     expect = np.einsum("iajbkg,jb,kg->ia", D3, G1, G1)
-    got = remainder_bracket(svk, Pairs.of(Dw, G1, G2), 1)
+    got = remainder_bracket(svk, pairs(Dw, G1, G2), 1)
     assert np.allclose(got, expect, atol=1e-13)
     with pytest.raises(ConfigError):
-        remainder_bracket(svk, Pairs.of(Dw, G1), 1)
+        remainder_bracket(svk, pairs(Dw, G1), 1)
     with pytest.raises(ConfigError):
-        remainder_bracket(svk, Pairs.of(Dw, G1, G2), 3)
+        remainder_bracket(svk, pairs(Dw, G1, G2), 3)
 
 
 def test_ellipticity_persistence():
@@ -441,8 +514,12 @@ def test_ellipticity_persistence():
     for _ in range(20):
         Dw = rng.standard_normal((2, 2))
         Dw *= 0.1 / max(1e-12, np.abs(Dw).max())
-        margin = mdl.ellipticity_margin(F=np.eye(2) + Dw, dim=2, nsamples=2000,
-                                        rng=rng)
+        # D^2W(I + Dw)(b1 x b2, b1 x b2) over 2000 random unit pairs
+        b1, b2 = (rng.standard_normal((2000, 2)) for _ in range(2))
+        b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
+        b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
+        G = b1.T[:, None] * b2.T[None, :]
+        margin = mdl.form2(Pairs([Dw[:, :, None], G]), 1, 1).min()
         assert margin >= mdl.mu / 2
 
 
@@ -474,10 +551,10 @@ def test_exact_s_quadrature_matches_five_point_loops(kind, d):
     I = np.eye(d)
     Dw, A, B, C = (0.3 * rng.standard_normal((40, d, d)) for _ in range(4))
     pairs = [
-        (mdl.secant_form(Dw, A, B), gauss5(lambda s: mdl.d2_form(I + s * Dw, A, B))),
-        (mdl.secant_contract(Dw, A), gauss5(lambda s: mdl.d2_contract(I + s * Dw, A))),
-        (mdl.nprime_form(Dw, A, B, C), gauss5(lambda s: s * mdl.d3_form(I + s * Dw, A, B, C))),
-        (mdl.nprime_contract(Dw, A, B), gauss5(lambda s: s * mdl.d3_contract(I + s * Dw, A, B))),
+        (secant_form(mdl, Dw, A, B), gauss5(lambda s: d2_form(mdl, I + s * Dw, A, B))),
+        (secant_contract(mdl, Dw, A), gauss5(lambda s: d2_contract(mdl, I + s * Dw, A))),
+        (nprime_form(mdl, Dw, A, B, C), gauss5(lambda s: s * d3_form(mdl, I + s * Dw, A, B, C))),
+        (nprime_contract(mdl, Dw, A, B), gauss5(lambda s: s * d3_contract(mdl, I + s * Dw, A, B))),
     ]
     for new, ref in pairs:
         assert np.shape(new) == np.shape(ref)
@@ -497,12 +574,12 @@ def test_pair_forms_match_full_tensors(kind, d):
     F = I + Dw
     D2, D3, D4 = hessian(mdl, F), higher_derivative(mdl, F, 3), higher_derivative(mdl, F, 4)
     pairs = [
-        (mdl.d2_form(F, A, B), np.einsum("niajb,nia,njb->n", D2, A, B)),
-        (mdl.d2_contract(F, A), np.einsum("niajb,nia->njb", D2, A)),
-        (mdl.d3_form(F, A, B, C), np.einsum("niajbkg,nia,njb,nkg->n", D3, A, B, C)),
-        (mdl.d3_contract(F, A, B), np.einsum("niajbkg,nia,njb->nkg", D3, A, B)),
-        (mdl.d4_contract(A, B, C), np.einsum("niajbkgld,nia,njb,nkg->nld", D4, A, B, C)),
-        (mdl.piola_stress(F), np.einsum("nia,nab->nib", F, second_pk(mdl, F))
+        (d2_form(mdl, F, A, B), np.einsum("niajb,nia,njb->n", D2, A, B)),
+        (d2_contract(mdl, F, A), np.einsum("niajb,nia->njb", D2, A)),
+        (d3_form(mdl, F, A, B, C), np.einsum("niajbkg,nia,njb,nkg->n", D3, A, B, C)),
+        (d3_contract(mdl, F, A, B), np.einsum("niajbkg,nia,njb->nkg", D3, A, B)),
+        (d4_contract(mdl, A, B, C), np.einsum("niajbkgld,nia,njb,nkg->nld", D4, A, B, C)),
+        (piola_stress(mdl, F), np.einsum("nia,nab->nib", F, second_pk(mdl, F))
          if kind == SVK else second_pk(mdl, F)),
     ]
     for new, ref in pairs:

@@ -10,11 +10,12 @@ from lagfsi.config import RunConfig
 from lagfsi.coupling import CoupledProblem, initial_state
 from lagfsi.errors import SolverError
 from lagfsi.material import make_material
-from lagfsi.mesh import build_annular_mesh
+from lagfsi.mesh import SOLID, build_annular_mesh
 from lagfsi.solid import (
     LU_ORDERING, LU_PIVOT_THRESHOLD, NEWMARK_BETA, NEWMARK_GAMMA, FactorStore, internal_force,
     lu_factor, newmark_update, newton_solve, solid_residual, stiffness_matrix,
 )
+from lagfsi.spaces import FieldSpace
 
 from oracle_fem import DenseStep, make_tiny_mesh
 
@@ -87,6 +88,17 @@ def test_linear_scaling(tiny):
     R1 = solid_residual(lin, ss, problem.M_solid, w, wtt)
     R3 = solid_residual(lin, ss, problem.M_solid, 3 * w, 3 * wtt)
     assert np.allclose(R3, 3 * R1, atol=1e-14)
+
+
+@pytest.mark.parametrize("amplitude", [1e-2, 1e-6, 1e-10])
+def test_linear_force_keeps_small_gradients_exact(amplitude):
+    # the stress law takes Dw itself: forming F = Dw + I and subtracting I
+    # again would cost a relative error of eps / |Dw| (6e-9 at |w| ~ 1e-10)
+    lin = make_material(LIN, 1.0, 1.0)
+    ss = FieldSpace(build_annular_mesh(2, 0.4, 1.0, 4), SOLID, 2, 2)
+    w = amplitude * np.random.default_rng(0).standard_normal(ss.ndof)
+    ref = stiffness_matrix(lin, ss, ss.zeros()) @ w
+    assert np.linalg.norm(internal_force(lin, ss, w) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_tangent_at_zero_matches_linear(tiny):
