@@ -9,6 +9,7 @@ import logging
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import SolverError
@@ -82,9 +83,10 @@ LU_RELAX = 1
 # Relative residual of each Newton correction: the corrections then agree
 # with a fresh direct solve to about 1e-14.
 KRYLOV_RTOL = 1e-13
-# With the factor carried over from earlier steps at the same dt, a step's
-# corrections take at most 8 GMRES iterations together (2-D res 5 over 300
-# steps, 3-D res 4 over 6 steps); more than this means it is stale.
+# Iterations of one correction.  On the float32 factor carried over from
+# earlier steps at the same dt a correction takes at most 5 (2-D res 8,
+# dt 1e-2, gamma 0 over 200 steps; 4 on 2-D res 5, gamma 0 over 300 steps
+# and on 3-D res 4 over 6 steps); more than this means it is stale.
 KRYLOV_MAXIT = 10
 
 
@@ -118,21 +120,55 @@ class FactorStore:
 
 
 def _krylov_solve(J, lu, b):
-    """Solve J x = b by GMRES on J lu^{-1} (right preconditioning, so the
-    residual GMRES tests is the true one).  Returns (x, iterations), x None
-    if KRYLOV_RTOL is not met within KRYLOV_MAXIT iterations."""
-    its = []
-    op = spla.LinearOperator(J.shape, lambda y: J @ lu.solve(y), dtype=float)
-    y, info = spla.gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_MAXIT, maxiter=1,
-                         callback=its.append, callback_type="pr_norm")
-    return (lu.solve(y) if info == 0 else None), len(its)
+    """Solve J x = b by flexible GMRES, right-preconditioned with the factor
+    `lu` applied in single precision: each Arnoldi vector v_k is solved once,
+    z_k = lu^{-1} v_k, and x = Z y, so the factor may be inexact while the
+    residual stays the float64 one of J.  The true residual of x is checked
+    before it is returned.  Returns (x, iterations), x None if KRYLOV_RTOL is
+    not met within KRYLOV_MAXIT iterations."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    m = KRYLOV_MAXIT
+    V = np.empty((m + 1, len(b)))
+    Z = []
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    V[0], g[0] = b / beta, beta
+    k = 0
+    while k < m:
+        Z.append(lu.solve(V[k].astype(np.float32)))
+        w = J @ Z[k]
+        # classical Gram-Schmidt with one reorthogonalization pass
+        for _ in range(2):
+            h = V[:k + 1] @ w
+            w -= h @ V[:k + 1]
+            H[:k + 1, k] += h
+        hnext = np.linalg.norm(w)
+        for i in range(k):  # the earlier Givens rotations, then a new one
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    -sn[i] * H[i, k] + cs[i] * H[i + 1, k])
+        r = np.hypot(H[k, k], hnext)
+        cs[k], sn[k] = H[k, k] / r, hnext / r
+        H[k, k], g[k + 1], g[k] = r, -sn[k] * g[k], cs[k] * g[k]
+        k += 1
+        if abs(g[k]) <= KRYLOV_RTOL * beta:
+            break
+        V[k] = w / hnext
+    x = solve_triangular(H[:k, :k], g[:k]) @ np.asarray(Z)
+    if not np.linalg.norm(b - J @ x) <= KRYLOV_RTOL * beta:  # also catches NaN
+        return None, k
+    return x, k
 
 
 def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25, store=None, key=None):
     """Newton iteration with an absolute residual-norm stop.
 
-    Every correction is solved on the current tangent by GMRES
-    preconditioned with an LU factor of an earlier tangent.  The factor is
+    Every correction is solved on the current tangent by flexible GMRES
+    preconditioned with a single-precision LU factor of an earlier tangent
+    (the tangent rounded to float32 and factored; the GMRES residual is the
+    float64 one, so the tolerance is that of a float64 solve).  The factor is
     taken from `store` if it holds one built for `key` (so a run factors
     once and carries the factor from step to step), else the first tangent
     is factored; it is rebuilt at the current tangent only when GMRES
@@ -161,13 +197,13 @@ def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25, store=None, key=Non
         J = tangent(u).tocsc()
         reused = lu is not None
         if not reused:
-            lu = lu_factor(J, history)
+            lu = lu_factor(J.astype(np.float32), history)
             info["factorizations"] += 1
         du, its = _krylov_solve(J, lu, -R)
         info["krylov_its"] += its
         if du is None and reused:
             lu = None  # release the stale factor before building its successor
-            lu = lu_factor(J, history)
+            lu = lu_factor(J.astype(np.float32), history)
             info["factorizations"] += 1
             du, its = _krylov_solve(J, lu, -R)
             info["krylov_its"] += its

@@ -17,7 +17,7 @@ import pytest
 
 from lagfsi.errors import ConfigError
 from lagfsi.material import (
-    GAUSS2_NODES, GAUSS2_WEIGHTS, Pairs, make_material, remainder_bracket,
+    GAUSS2_NODES, GAUSS2_WEIGHTS, KINDS, Pairs, StressLaw, make_material, remainder_bracket,
 )
 from lagfsi.pointwise import cm
 
@@ -230,6 +230,17 @@ def test_piola_stress_equilibrium_and_fd():
                 fd = (energy_density(mdl, F + h * G) - energy_density(mdl, F - h * G)) / (2 * h)
                 ex = np.sum(piola_stress(mdl, F) * G)
                 assert abs(fd - ex) <= 1e-6 * max(1e-8, abs(ex))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("d", [2, 3])
+def test_stress_law_is_exactly_zero_at_the_identity(kind, d):
+    # equilibrium DW(I) = 0 holds in floating point, not only to round-off:
+    # every term of the law is a multiple of Dw
+    rng = np.random.default_rng(d)
+    for lam, mu in zip(rng.exponential(size=5) * [0, 1, 1, 1, 1], rng.uniform(1e-3, 1e3, 5)):
+        P = StressLaw(lam, mu, KINDS[kind]).pk1(Pairs([np.zeros((d, d, 7))]))
+        assert P.shape == (d, d, 7) and not P.any()
 
 
 def test_piola_stress_closed_form():

@@ -1,19 +1,23 @@
 """Elastodynamic residual/tangent, Newton behavior and Newmark conservation."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lagfsi import fluid
+from lagfsi import solid as solidmod
 from lagfsi.config import RunConfig
 from lagfsi.coupling import CoupledProblem, initial_state
 from lagfsi.errors import SolverError
 from lagfsi.material import make_material
 from lagfsi.mesh import SOLID, build_annular_mesh
 from lagfsi.solid import (
-    LU_ORDERING, LU_PIVOT_THRESHOLD, NEWMARK_BETA, NEWMARK_GAMMA, FactorStore, internal_force,
-    lu_factor, newmark_update, newton_solve, solid_residual, stiffness_matrix,
+    KRYLOV_MAXIT, KRYLOV_RTOL, LU_ORDERING, LU_PIVOT_THRESHOLD, NEWMARK_BETA, NEWMARK_GAMMA,
+    FactorStore, _krylov_solve, internal_force, lu_factor, newmark_update, newton_solve,
+    solid_residual, stiffness_matrix,
 )
 from lagfsi.spaces import FieldSpace
 
@@ -268,8 +272,10 @@ def test_newton_failure_leaves_no_factor():
     assert store.lu is None and store.key is None
 
 
+@functools.lru_cache(maxsize=None)
 def _first_step_tangent(dim, res):
-    """The coupled tangent of the first Newton iterate of a run's first step."""
+    """The coupled tangent of the first Newton iterate of a run's first step
+    (built once per module; callers must not modify it)."""
     cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=1.0)
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
@@ -297,6 +303,81 @@ def test_lu_factor_matches_default_relaxation(dim, res, fill_excess):
     assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
     fill, fill_ref = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
     assert fill <= fill_ref * (1 + fill_excess)
+
+
+@pytest.mark.parametrize("dim,res", [(2, 5), (3, 4)])
+def test_single_precision_factor_keeps_the_fill(dim, res):
+    # the Newton tangent is factored in float32 on the same ordering, pivot
+    # threshold and relaxation: the pivot sequence may move, the fill may
+    # not (2-D res 5: 195 889 against 196 832; 3-D res 4: 4 161 873
+    # against 4 163 678)
+    J = _first_step_tangent(dim, res).tocsc()
+    lu64, lu32 = lu_factor(J), lu_factor(J.astype(np.float32))
+    fill64, fill32 = lu64.L.nnz + lu64.U.nnz, lu32.L.nnz + lu32.U.nnz
+    assert lu32.L.dtype == np.float32
+    assert abs(fill32 - fill64) <= 0.01 * fill64
+
+
+class CountingFactor:
+    """An LU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _perturbed_factor(J, size=1e-3, seed=6):
+    """float32 factor of J with each entry scaled by 1 + size * N(0, 1)."""
+    Jp = J.copy()
+    Jp.data *= 1 + size * np.random.default_rng(seed).standard_normal(Jp.nnz)
+    return lu_factor(Jp.astype(np.float32))
+
+
+def test_krylov_solve_meets_the_tolerance_on_a_perturbed_single_precision_factor():
+    J = _first_step_tangent(2, 5).tocsc()
+    b = np.random.default_rng(7).standard_normal(J.shape[0])
+    lu = CountingFactor(_perturbed_factor(J))
+    x, its = _krylov_solve(J, lu, b)
+    assert x is not None and x.dtype == np.float64
+    assert np.linalg.norm(b - J @ x) <= KRYLOV_RTOL * np.linalg.norm(b)
+    # each iteration applies the factor once, and nothing else does
+    assert 2 <= its <= KRYLOV_MAXIT
+    assert lu.solves == its
+
+
+def test_krylov_solve_of_zero_is_zero():
+    J = _first_step_tangent(2, 5).tocsc()
+    lu = CountingFactor(lu_factor(J.astype(np.float32)))
+    x, its = _krylov_solve(J, lu, np.zeros(J.shape[0]))
+    assert its == 0 and lu.solves == 0
+    assert x.shape == (J.shape[0],) and not x.any()
+
+
+def test_unrelated_factor_fails_after_one_refactor(monkeypatch):
+    # a factor of another matrix leaves GMRES short of the tolerance; the
+    # Newton solve refactors once, and a miss on that factor too raises
+    n = 100
+    residual, tangent = _mild_cubic(n)
+    other = sp.diags(np.random.default_rng(8).uniform(1.0, 10.0, n), format="csc")
+    J = tangent(np.zeros(n))
+    x, its = _krylov_solve(J, lu_factor(other), -residual(np.zeros(n)))
+    assert x is None and its == KRYLOV_MAXIT
+    factored = []
+
+    def unrelated_factor(A, history=None):
+        factored.append(A)
+        return lu_factor(other, history)
+
+    monkeypatch.setattr(solidmod, "lu_factor", unrelated_factor)
+    store = FactorStore()
+    store.put(lu_factor(other), "dt")
+    with pytest.raises(SolverError, match="freshly factored"):
+        newton_solve(residual, tangent, np.zeros(n), store=store, key="dt")
+    assert len(factored) == 1
+    assert store.lu is None
 
 
 def test_newton_singular_tangent_raises():
