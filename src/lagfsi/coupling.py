@@ -64,11 +64,13 @@ class CoupledTangent:
     """The fixed CSC pattern of the coupled tangent in (v_free, q, w, lambda)
     and, for each block matrix, the tangent slot of each of its entries.
 
-    Its data is filled in three layers: the constant blocks (M_f/dt, the
-    solid mass coefficient, C_f, C_s and its Newmark-scaled transpose,
-    -gamma M_Gamma) once per (dt, gamma) in `base`; the fluid blocks at a
-    step's frozen a a^T in `step_data`; the solid stiffness at each Newton
-    iterate in `matrix`.  Every tangent shares the pattern's index arrays.
+    Its data is filled in two layers: the constant blocks (M_f/dt, the
+    solid mass coefficient and the identity-state stiffness K(0), C_f, C_s
+    and its Newmark-scaled transpose, -gamma M_Gamma) once per (dt, gamma)
+    in `base`; the fluid blocks at a step's frozen a a^T in `step_matrix`.
+    The solid stiffness beyond K(0) is never assembled: the Newton solve
+    applies it matrix-free.  Every step's matrix shares the pattern's index
+    arrays.
     """
 
     def __init__(self, problem):
@@ -106,6 +108,7 @@ class CoupledTangent:
         self._terms["solid mass"] = (slots[2, 2][mass], None)
         self._constant = (problem.M_fluid, problem.M_solid, iface.C_fluid, iface.C_solid,
                           iface.M_vec)
+        self._solid = (problem.model, ss)
         self._base_key = self._base = None
 
     def _add(self, data, block, values, scale=1.0):
@@ -120,6 +123,7 @@ class CoupledTangent:
             data = np.zeros(self.pattern.nnz)
             self._add(data, (0, 0), M_f.data, 1.0 / dt)
             self._add(data, "solid mass", M_s.data, 1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0)
+            self._add(data, (2, 2), solidmod.stiffness_matrix(*self._solid).data)
             self._add(data, (0, 3), C_f.data)
             self._add(data, (3, 0), C_f.data)
             self._add(data, (2, 3), C_s.data, -1.0)
@@ -128,20 +132,13 @@ class CoupledTangent:
             self._base, self._base_key = data, (dt, gamma)
         return self._base
 
-    def step_data(self, op, gamma):
-        """Tangent data without the solid stiffness for the fluid operator `op`
-        of one step: the constant blocks plus viscosity K, B and -B^T."""
+    def step_matrix(self, op, gamma):
+        """The step's assembled tangent for the fluid operator `op`: the
+        constant blocks plus viscosity K, B and -B^T."""
         data = self.base(op.dt, gamma).copy()
         self._add(data, (0, 0), op.K.data, op.viscosity)
         self._add(data, (1, 0), op.B.data)
         self._add(data, (0, 1), op.B.data, -1.0)
-        return data
-
-    def matrix(self, data, stiffness=None):
-        """The tangent with `data`, plus the solid `stiffness` matrix if given."""
-        if stiffness is not None:
-            data = data.copy()
-            self._add(data, (2, 2), stiffness.data)
         return self.pattern.matrix(data)
 
 
@@ -240,15 +237,15 @@ def coupled_step(state, cfg, model, step_index=0):
     free = problem.free_fluid
     M_s = problem.M_solid
     C_s = iface.C_solid
-    # The fluid, pressure and trace rows are affine in u: J0 u - b, with J0
-    # the tangent without the solid stiffness.  The trace rows' constant is
-    # C_s^T w_t(w = 0), since the Newmark w_t is affine in w.
-    data0 = problem.tangent.step_data(op, cfg.gamma)
-    J0 = problem.tangent.matrix(data0)
+    # The fluid, pressure and trace rows are affine in u: P u - b, with P the
+    # step's assembled tangent.  The trace rows' constant is C_s^T w_t(w = 0),
+    # since the Newmark w_t is affine in w.  The exact tangent at u is P plus
+    # the matrix-free (K(w) - K(0)) on the solid rows.
+    P = problem.tangent.step_matrix(op, cfg.gamma)
     nf, nq, nw, _ = problem.tangent.sizes
     ws = slice(nf + nq, nf + nq + nw)
     wt_at_zero, _ = solidmod.newmark_update(np.zeros(nw), state.w, state.wt, state.wtt, dt)
-    b = np.zeros(J0.shape[0])
+    b = np.zeros(P.shape[0])
     b[:nf] = (problem.M_fluid @ state.v)[free] / dt
     b[ws.stop:] = C_s.T @ wt_at_zero
 
@@ -258,25 +255,22 @@ def coupled_step(state, cfg, model, step_index=0):
     def residual(u):
         _, _, w, lam = unpack(u)
         _, wtt = solidmod.newmark_update(w, state.w, state.wt, state.wtt, dt)
-        R = J0 @ u - b
+        R = P @ u - b
         R[ws] = solidmod.solid_residual(model, ss, M_s, w, wtt, C_s @ lam)
         return R
-
-    def tangent(u):
-        return problem.tangent.matrix(data0, solidmod.stiffness_matrix(model, ss, u[ws]))
 
     u0 = np.concatenate([state.v[free], state.q, state.w, state.lam])
     it = [0]
 
-    def counted_tangent(u):
-        J = tangent(u)
+    def tangent(u):
+        J = solidmod.TangentOperator(P, solidmod.stiffness_remainder(model, ss, u[ws]), ws)
         if cfg.dump_systems:
-            _dump_system(cfg, step_index, it[0], J, residual(u))
+            _dump_system(cfg, step_index, it[0], J.assembled(), residual(u))
         it[0] += 1
         return J
 
     u, info = solidmod.newton_solve(
-        residual, counted_tangent, u0, tol=cfg.newton_tol, maxit=cfg.newton_maxit,
+        residual, tangent, u0, tol=cfg.newton_tol, maxit=cfg.newton_maxit,
         store=problem.factor, key=dt,
     )
     info["retried"] = False

@@ -17,7 +17,7 @@ is added to the gradient and subtracted again.
 import numpy as np
 
 from .material import Pairs, StressLaw
-from .pointwise import cofactor3, mul_t
+from .pointwise import cofactor3
 
 BACKEND = "python"  # reported as lagfsi.kernel_backend
 
@@ -58,13 +58,6 @@ def _gmul(G, A):
     return G.transpose(0, 3, 1, 2) @ A.transpose(2, 3, 0, 1)
 
 
-def _qsum(A, B):
-    """out[c,x,y] = sum_q A[c,q,x] B[c,q,y], x and y the flattened trailing
-    axes: one (nx, nq) @ (nq, ny) product per cell."""
-    nc, nq = A.shape[:2]
-    return A.reshape(nc, nq, -1).swapaxes(1, 2) @ B.reshape(nc, nq, -1)
-
-
 def _table_sum(A, G):
     """out[c,a,b] = sum_{k,q} A[c,q,a,k] G[c,b,k,q]: one product per cell."""
     nc, na = G.shape[:2]
@@ -78,31 +71,17 @@ def elem_residual(P, G, wdet):
     return wG @ P.transpose(2, 1, 3, 0).reshape(nc, d * nq, d)
 
 
-def elem_tangent(Dw, G, wdet, lam, mu, kind):
-    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(I + Dw) G[a,alpha] G[b,beta].
+def elem_tangent(G, wdet, lam, mu):
+    """K[c,a,i,b,j] = sum_q wdet * D2W_{i alpha j beta}(I) G[a,alpha] G[b,beta].
 
-    With FG = G F^T (G itself for kind 0) the tangent is
-    lam FG[a,i] FG[b,j] + mu FG[a,j] FG[b,i] + diag_ij Q[a,b], plus
-    mu (F F^T)[i,j] (G G^T)[a,b] for kind 1; Q is mu G G^T for kind 0 and
-    the geometric term G S G^T for kind 1."""
+    D2W(I) is the same for both material kinds.  With M[c,a,i,b,j] =
+    sum_q wdet G[a,i] G[b,j] the tangent is lam M + mu M^T(i<->j), plus
+    diag_ij mu (G G^T)[a,b], the trace of M over i = j."""
     nc, na, d, nq = G.shape
-    w = wdet[:, :, None, None]
-    Gq = G.transpose(0, 3, 1, 2)
-    if kind == 0:
-        FG = Gq
-        Q = mu * _table_sum(w * Gq, G)
-    else:
-        F = Dw.copy()
-        for i in range(d):
-            F[i, i] += 1.0
-        FG = _gmul(G, F.swapaxes(0, 1))
-        Q = _table_sum(_gmul(G, wdet * StressLaw(lam, mu, 1).stress(Pairs([Dw]))), G)
-    M = _qsum(w * FG, FG).reshape(nc, na, d, na, d)
+    Gf = G.reshape(nc, na * d, nq)
+    M = ((wdet[:, None, :] * Gf) @ Gf.swapaxes(1, 2)).reshape(nc, na, d, na, d)
     K = lam * M + mu * M.transpose(0, 1, 4, 3, 2)
-    if kind == 1:
-        FFt = (wdet * mul_t(F, F)).transpose(2, 3, 0, 1)
-        GGt = Gq @ Gq.swapaxes(2, 3)
-        K += mu * _qsum(GGt, FFt).reshape(nc, na, na, d, d).transpose(0, 1, 3, 2, 4)
+    Q = mu * np.trace(M, axis1=2, axis2=4)
     for i in range(d):
         K[:, :, i, :, i] += Q
     return K

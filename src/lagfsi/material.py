@@ -105,6 +105,17 @@ class StressLaw:
         S = self.stress(p)
         return S + mul(p.X[0], S) if self._svk else S
 
+    def tangent_remainder(self, p, a, S):
+        """l_{X_a} (D^2W(F) - D^2W(I)) at F = I + Dw with S = S(F): the
+        derivative F c(s(F, X_a)) + X_a S of DW along X_a less its
+        identity-state part c(sym X_a), formed as c(s(Dw, X_a)) +
+        Dw c(s(F, X_a)) + X_a S so that nothing cancels.  Exactly zero at
+        Dw = 0, and for the linear model."""
+        if not self._svk:
+            return np.zeros_like(p.X[a])
+        C = self.c(p.s(0, a))
+        return C + mul(p.X[0], C + self.c(p.sym(a))) + mul(p.X[a], S)
+
 
 class MaterialModel(StressLaw):
     """Stored-energy function with derivative evaluators up to order 4.
@@ -147,10 +158,8 @@ class MaterialModel(StressLaw):
 
     def contract2(self, p, a):
         """Matrix l_{X_a} D^2W(F) = F c(s(F, X_a)) + X_a S(F), F = I + Dw."""
-        C = self.c(self._sF(p, a, 1.0))
-        if not self._svk:
-            return C
-        return C + mul(p.X[0], C) + mul(p.X[a], self.stress(p))
+        C = self.c(p.sym(a))
+        return C + self.tangent_remainder(p, a, self.stress(p)) if self._svk else C
 
     def contract3(self, p, a, b):
         """Matrix l_{X_b} l_{X_a} D^3W(F), F = I + Dw."""

@@ -2,18 +2,20 @@
 
 Weak residual of  w_tt - div DW(Dw + I) + w = 0  with an interface traction
 on the enclosing surface; the Newton tangent pairs the mass terms with the
-stiffness built from the energy Hessian at the current gradient.
+stiffness of the energy Hessian at the current gradient, assembled at the
+identity state and applied matrix-free beyond it.
 """
 
 import logging
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import SolverError
-from .material import KINDS
+from .material import KINDS, Pairs
 
 log = logging.getLogger(__name__)
 
@@ -29,12 +31,50 @@ def internal_force(model, space, w):
     return space.scatter_vector(elem.reshape(len(space.cells), -1))
 
 
-def stiffness_matrix(model, space, w):
-    """Assembled Hessian form <l_{D phi} D^2W(Dw + I), D psi>."""
-    Dw = space.gradients([w])[:, :, 0]
-    K = kernels.elem_tangent(Dw, space.gradt, space.wdet, model.lam, model.mu, KINDS[model.kind])
+def stiffness_matrix(model, space):
+    """Assembled identity-state Hessian form <l_{D phi} D^2W(I), D psi>: the
+    stiffness K(0), the same for both material kinds."""
+    K = kernels.elem_tangent(space.gradt, space.wdet, model.lam, model.mu)
     n = space.nloc * space.dim
     return space.scatter_matrix(K.reshape(len(space.cells), n, n))
+
+
+class StiffnessRemainder:
+    """z -> (K(w) - K(0)) z, the stiffness beyond the identity state, never
+    assembled: <l_{Dz}(D^2W(Dw + I) - D^2W(I)), D phi> by the pointwise law,
+    with Dw and S(Dw + I) formed once."""
+
+    def __init__(self, model, space, w):
+        self.model, self.space = model, space
+        self.Dw = space.gradients([w])[:, :, 0]
+        self.S = model.stress(Pairs([self.Dw]))
+
+    def _elements(self, H):
+        """Element vectors (nc, nloc d) of the remainder along gradient fields H."""
+        dP = self.model.tangent_remainder(Pairs([self.Dw, H]), 1, self.S)
+        elem = kernels.elem_residual(dP, self.space.gradt, self.space.wdet)
+        return elem.reshape(len(elem), -1)
+
+    def __matmul__(self, z):
+        return self.space.scatter_vector(self._elements(self.space.gradients([z])[:, :, 0]))
+
+    def assembled(self):
+        """K(w) - K(0) as a sparse matrix: element column (b, j) is the action
+        along the gradient of local basis function b in component j."""
+        G = self.space.gradt
+        nc, na, d, nq = G.shape
+        K = np.empty((nc, na * d, na * d))
+        for b, j in np.ndindex(na, d):
+            H = np.zeros((d, d, nc, nq))
+            H[j] = G[:, b].swapaxes(0, 1)
+            K[:, :, b * d + j] = self._elements(H)
+        return self.space.scatter_matrix(K)
+
+
+def stiffness_remainder(model, space, w):
+    """StiffnessRemainder at w; None for the linear model, whose stiffness is
+    K(0) at every w."""
+    return StiffnessRemainder(model, space, w) if KINDS[model.kind] else None
 
 
 def solid_residual(model, space, mass, w, w_tt, load=None):
@@ -71,10 +111,9 @@ LU_PIVOT_THRESHOLD = 0.01
 # Fundamental supernodes only: SuperLU's default relaxation merges small
 # elimination subtrees into relaxed supernodes, and on the saddle-point
 # tangent that is what makes the factorization slow, not the fill.  On the
-# 3-D res 4 first-step tangent relax=1 factors in 426 ms instead of 771 ms
-# and solves in 6.8 ms instead of 9.2 ms (one core), for a fill 9 entries
-# above the default's 4.16 M; on 2-D res 5 and res 8 the factor is 11-13 %
-# faster.
+# 3-D res 4 first-step matrix the float32 factor takes 180 ms instead of
+# 314 ms and a solve 2.75 ms instead of 4.31 ms, for the same 4.16 M fill
+# (one core; in float64 410 ms against 764 ms).
 # Leave panel_size at its default: in SciPy 1.17.1 panel_size=32 corrupts
 # the heap (the process segfaults under glibc's malloc check), while both
 # benchmark workloads run clean under that check with relax=1 and the
@@ -83,10 +122,11 @@ LU_RELAX = 1
 # Relative residual of each Newton correction: the corrections then agree
 # with a fresh direct solve to about 1e-14.
 KRYLOV_RTOL = 1e-13
-# Iterations of one correction.  On the float32 factor carried over from
-# earlier steps at the same dt a correction takes at most 5 (2-D res 8,
-# dt 1e-2, gamma 0 over 200 steps; 4 on 2-D res 5, gamma 0 over 300 steps
-# and on 3-D res 4 over 6 steps); more than this means it is stale.
+# Iterations of one correction.  On the float32 factor of the identity-
+# state matrix carried over from earlier steps at the same dt a correction
+# takes at most 5 (2-D res 8, dt 1e-2, gamma 0 over 200 steps, and 2-D
+# res 5 at amplitude 9e-3 over 50 steps; 4 on 2-D res 5, gamma 0 over 300
+# steps and on 3-D res 4 over 6 steps); more than this means it is stale.
 KRYLOV_MAXIT = 10
 
 
@@ -117,6 +157,32 @@ class FactorStore:
 
     def put(self, lu, key):
         self.lu, self.key = lu, key
+
+
+class TangentOperator:
+    """A Newton tangent J as an operator: the assembled sparse `matrix`, which
+    is what the preconditioner factors, plus a matrix-free `remainder` acting
+    on the unknowns `rows` (None: J is the matrix).  `shape` and `nnz` are
+    the matrix's."""
+
+    def __init__(self, matrix, remainder=None, rows=slice(None)):
+        self.matrix, self.remainder, self.rows = matrix, remainder, rows
+        self.shape, self.nnz = matrix.shape, matrix.nnz
+
+    def __matmul__(self, z):
+        out = self.matrix @ z
+        if self.remainder is not None:
+            out[self.rows] += self.remainder @ z[self.rows]
+        return out
+
+    def assembled(self):
+        """J as one sparse matrix."""
+        if self.remainder is None:
+            return self.matrix
+        R = self.remainder.assembled().tocoo()
+        start = self.rows.start or 0
+        return self.matrix + sp.csc_matrix((R.data, (R.row + start, R.col + start)),
+                                           shape=self.shape)
 
 
 def _krylov_solve(J, lu, b):
@@ -165,19 +231,21 @@ def _krylov_solve(J, lu, b):
 def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25, store=None, key=None):
     """Newton iteration with an absolute residual-norm stop.
 
-    Every correction is solved on the current tangent by flexible GMRES
-    preconditioned with a single-precision LU factor of an earlier tangent
-    (the tangent rounded to float32 and factored; the GMRES residual is the
-    float64 one, so the tolerance is that of a float64 solve).  The factor is
-    taken from `store` if it holds one built for `key` (so a run factors
-    once and carries the factor from step to step), else the first tangent
-    is factored; it is rebuilt at the current tangent only when GMRES
-    misses KRYLOV_RTOL, and the old factor is released first.  A converged
-    solve leaves its factor in `store` under `key`; a failed one leaves the
-    store empty.  Returns (u, info) where info carries the iteration count,
-    the residual-norm history and the counts of factorizations and GMRES
-    iterations; raises SolverError (with the history attached) if maxit is
-    exhausted or a tangent cannot be factored or solved.
+    `tangent(u)` returns the exact tangent at u as a TangentOperator.  Every
+    correction is solved on it by flexible GMRES preconditioned with a
+    single-precision LU factor of an earlier tangent's assembled matrix (the
+    matrix rounded to float32 and factored; the GMRES residual is the
+    float64 one of the operator, so the tolerance is that of a float64
+    solve).  The factor is taken from `store` if it holds one built for `key`
+    (so a run factors once and carries the factor from step to step), else
+    the first tangent's matrix is factored; it is rebuilt at the current
+    tangent's matrix only when GMRES misses KRYLOV_RTOL, and the old factor
+    is released first.  A converged solve leaves its factor in `store` under
+    `key`; a failed one leaves the store empty.  Returns (u, info) where
+    info carries the iteration count, the residual-norm history and the
+    counts of factorizations and GMRES iterations; raises SolverError (with
+    the history attached) if maxit is exhausted or a tangent cannot be
+    factored or solved.
     """
     u = np.array(u0, dtype=float)
     history = []
@@ -194,16 +262,14 @@ def newton_solve(residual, tangent, u0, tol=1e-10, maxit=25, store=None, key=Non
             return u, info
         if it == maxit:
             break
-        J = tangent(u).tocsc()
-        reused = lu is not None
-        if not reused:
-            lu = lu_factor(J.astype(np.float32), history)
-            info["factorizations"] += 1
-        du, its = _krylov_solve(J, lu, -R)
-        info["krylov_its"] += its
-        if du is None and reused:
+        J = tangent(u)
+        du = None
+        if lu is not None:  # the kept factor
+            du, its = _krylov_solve(J, lu, -R)
+            info["krylov_its"] += its
+        if du is None:  # no factor kept, or GMRES missed on it: factor J's matrix
             lu = None  # release the stale factor before building its successor
-            lu = lu_factor(J.astype(np.float32), history)
+            lu = lu_factor(J.matrix.astype(np.float32), history)
             info["factorizations"] += 1
             du, its = _krylov_solve(J, lu, -R)
             info["krylov_its"] += its

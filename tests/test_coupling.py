@@ -1,10 +1,12 @@
 """Monolithic coupled stepping: equilibrium, transmission conditions,
 dense-oracle equivalence and the dissipation ordering in gamma."""
 
+import gc
 import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lagfsi import coupling
 from lagfsi.config import RunConfig
@@ -17,6 +19,7 @@ from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 
 from oracle_fem import DenseStep, make_tiny_mesh
+from test_kernels import ref_stiffness
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
@@ -60,6 +63,49 @@ def test_step_factors_its_tangent_once():
     assert info["iterations"] == 2
     assert info["factorizations"] == 1
     assert info["krylov_its"] >= 2
+
+
+def test_steps_leave_no_cyclic_garbage():
+    # each step's tangent, factor and closures are freed by reference
+    # counting alone: a reference cycle would keep every step's assembled
+    # matrix alive until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        _, state = _small_run(res=4, t_end=0.04)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert state.time == pytest.approx(0.04)
+    assert found == 0
+
+
+def test_identity_state_factor_serves_a_large_amplitude_run(monkeypatch):
+    # SVK at amplitude 9e-3 moves the tangent furthest from the factored
+    # K(0), yet the first step's factor serves every correction of 50 steps
+    from lagfsi import solid as solidmod
+
+    step, solve = coupling.coupled_step, solidmod._krylov_solve
+    infos, its = [], []
+
+    def counted_step(*args, **kwargs):
+        new = step(*args, **kwargs)
+        infos.append(new.newton_info)
+        return new
+
+    def counted_solve(*args):
+        x, k = solve(*args)
+        its.append(k)
+        return x, k
+
+    monkeypatch.setattr(coupling, "coupled_step", counted_step)
+    monkeypatch.setattr(solidmod, "_krylov_solve", counted_solve)
+    _small_run(amplitude=9e-3, t_end=0.5)
+    assert len(infos) == 50
+    assert sum(info["factorizations"] for info in infos) == 1
+    assert not any(info["retried"] for info in infos)
+    assert len(its) == sum(info["iterations"] for info in infos)
+    assert max(its) <= solidmod.KRYLOV_MAXIT
 
 
 def _manufactured_state(problem, model, cfg):
@@ -332,18 +378,28 @@ def test_vtk_and_system_dumps(tmp_path, monkeypatch):
     text = vtks[0].read_text()
     assert "VECTORS velocity" in text and "VECTORS displacement" in text
     dumps = sorted(tmp_path.glob("sys_*.txt"))
-    assert dumps, "no linear-system dumps written"
-    first = dumps[0].read_text().splitlines()
-    assert first[0].startswith("#")
-    r, c, v = first[1].split()
-    int(r), int(c), float(v)
+    assert len(dumps) == 4  # two Newton iterates in each step
+    # the first dump is the assembled J and the residual at the initial
+    # state, against the block assembly with the reference solid stiffness
+    lines = (tmp_path / "sys_step1_it0.txt").read_text().splitlines()
+    n = int(lines[0].split()[1])
+    split = lines.index("# rhs")
+    r, c, v = np.loadtxt(lines[1:split], ndmin=2).T
+    J = sp.csc_matrix((v, (r.astype(int), c.astype(int))), shape=(n, n))
+    rhs = np.loadtxt(lines[split + 1:], ndmin=2)[:, 1]
+    problem = CoupledProblem(mesh, model)
+    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    tangent, residual = _block_step(problem, state, ccfg, model)
+    u0 = np.concatenate([state.v[problem.free_fluid], state.q, state.w, state.lam])
+    ref = tangent(state.w)
+    assert abs(J - ref).max() <= 1e-14 * np.abs(ref.data).max()
+    assert np.abs(rhs - residual(u0)).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def _block_step(problem, state, cfg, model):
     """The coupled tangent (as a function of w) and residual of one step,
-    assembled block by block with sp.bmat and [free][:, free] slicing."""
-    import scipy.sparse as sp
-
+    assembled block by block with sp.bmat and [free][:, free] slicing, with
+    the solid stiffness from the einsum reference element matrices."""
     from lagfsi import fluid as fluidmod, solid as solidmod
 
     vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
@@ -357,8 +413,7 @@ def _block_step(problem, state, cfg, model):
     nf, nq, nw = free.sum(), ps.nscalar, ss.ndof
 
     def tangent(w):
-        A_ww = (1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0) * M_s \
-            + solidmod.stiffness_matrix(model, ss, w)
+        A_ww = (1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0) * M_s + ref_stiffness(model, ss, w)
         return sp.bmat([[A_ff, -B_f.T, None, C_f], [B_f, None, None, None],
                         [None, None, A_ww, -C_s], [C_f.T, None, -rate * C_s.T, -cfg.gamma * Mg]],
                        format="csc")
@@ -395,8 +450,10 @@ def _record_newton(monkeypatch):
 
 @pytest.mark.parametrize("dim,res,gamma", [(2, 5, 0.0), (2, 5, 1.0), (3, 4, 1.0)])
 def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
-    # the fixed-pattern tangent and its affine residual rows against the
-    # sp.bmat assembly of the block matrices, at t = 0 and after 3 steps
+    # the tangent operator (the fixed-pattern matrix plus the matrix-free
+    # solid remainder), its assembled form and the affine residual rows
+    # against the sp.bmat assembly of the block matrices, at t = 0 and after
+    # 3 steps
     cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=gamma)
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
@@ -412,7 +469,9 @@ def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
         for u in (u0, u0 + 1e-3 * rng.standard_normal(len(u0))):
             J, ref = J_fn(u), tangent(u[nf + nq:nf + nq + nw])
             assert J.shape == ref.shape
-            assert abs(J - ref).max() <= 1e-14 * np.abs(J.data).max()
+            for z in rng.standard_normal((2, len(u0))):
+                assert np.linalg.norm(J @ z - ref @ z) <= 1e-13 * np.linalg.norm(ref @ z)
+            assert abs(J.assembled() - ref).max() <= 1e-14 * np.abs(ref.data).max()
             R, R_ref = R_fn(u), residual(u)
             assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
         if k in (0, 3):
@@ -421,7 +480,8 @@ def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
 
 
 def test_tangents_share_one_pattern(monkeypatch):
-    # every tangent of a run wraps its data on the same index arrays
+    # every tangent of a run wraps its data on the same index arrays, and the
+    # Newton iterates of one step share its assembled matrix
     calls = _record_newton(monkeypatch)
     tangents = []
     from lagfsi import solid as solidmod
@@ -439,12 +499,14 @@ def test_tangents_share_one_pattern(monkeypatch):
     monkeypatch.setattr(solidmod, "newton_solve", keep_tangents)
     _small_run(gamma=0.0, dt=5e-3, t_end=0.1)
     assert len(calls) == 20 and len(tangents) == 40
-    first = tangents[0]
+    first = tangents[0].matrix
     assert first.nnz == 35478
     for J in tangents[1:]:
         assert J.nnz == first.nnz
-        assert np.shares_memory(J.indptr, first.indptr)
-        assert np.shares_memory(J.indices, first.indices)
+        assert np.shares_memory(J.matrix.indptr, first.indptr)
+        assert np.shares_memory(J.matrix.indices, first.indices)
+    for J, J_next in zip(tangents[::2], tangents[1::2]):
+        assert J.matrix is J_next.matrix
 
 
 def test_half_step_after_full_steps_matches_fresh_problem():

@@ -160,7 +160,7 @@ def test_newmark_free_vibration_balance(problem):
     import scipy.sparse.linalg as spla
 
     M = prob.M_solid.tocsc()
-    K = (stiffness_matrix(lin, ss, ss.zeros()) + prob.M_solid).tocsc()
+    K = (stiffness_matrix(lin, ss) + prob.M_solid).tocsc()
     dt = 5e-3
     beta, gam = NEWMARK_BETA, NEWMARK_GAMMA
     w = ss.interpolate(lambda x: 1e-3 * np.array([x[1] ** 2, x[0] ** 2]))

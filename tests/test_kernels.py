@@ -13,14 +13,19 @@ prints one `kernels.<name>.self_s` line per kernel; compare them with the
 same run on the previous commit.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from lagfsi import kernels, pointwise
 from lagfsi.coupling import CoupledProblem
-from lagfsi.material import make_material
+from lagfsi.material import KINDS, Pairs, StressLaw, make_material
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
 from lagfsi.pointwise import cm
+from lagfsi.solid import (
+    StiffnessRemainder, TangentOperator, stiffness_matrix, stiffness_remainder,
+)
 from lagfsi.spaces import FieldSpace, basis_grads
 
 from test_material import d2_contract, d2_form, d3_contract, d3_form, d4_contract, pm
@@ -57,16 +62,27 @@ def test_inv_det_roundtrip():
         assert np.abs(det - np.linalg.det(F)).max() < 1e-12
 
 
+def _product(F, G, w, U, kind):
+    """The element tangent of material `kind` at F applied to nodal values U
+    (nc, na, d): the identity-state elem_tangent contracted with U, plus the
+    pointwise remainder of the law along the gradient U moves F by."""
+    law = StressLaw(1.3, 0.8, kind)
+    Dw = grad(F)
+    K0 = kernels.elem_tangent(table(G), w, 1.3, 0.8)
+    H = cm(np.einsum("cbj,cqbe->cqje", U, G))
+    dP = law.tangent_remainder(Pairs([Dw, H]), 1, law.stress(Pairs([Dw])))
+    return np.einsum("caibj,cbj->cai", K0, U) + kernels.elem_residual(dP, table(G), w)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", [0, 1])
 def test_tangent_is_residual_derivative(d, kind):
     # perturbing the nodal values by U moves F by sum_b U[b] (x) G[b]; the
-    # element tangent contracted with U is the derivative of the residual
+    # tangent product along U is the derivative of the residual
     F, G, w, _, _ = _inputs(d, seed=5)
     U = np.random.default_rng(6).standard_normal((G.shape[0], G.shape[2], d))
     dF = np.einsum("cbj,cqbe->cqje", U, G)
-    K = kernels.elem_tangent(grad(F), table(G), w, 1.3, 0.8, kind)
-    KU = np.einsum("caibj,cbj->cai", K, U)
+    KU = _product(F, G, w, U, kind)
 
     def central(h):
         Rp = kernels.elem_residual(kernels.pk1(grad(F + h * dF), 1.3, 0.8, kind), table(G), w)
@@ -192,9 +208,55 @@ def test_assembly_kernels_match_einsum(d):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", [0, 1])
 def test_elem_tangent_matches_einsum(d, kind):
+    # elem_tangent is the tangent of either kind at F = I; with the pointwise
+    # remainder of the law it is the tangent of `kind` at F
     F, G, w, _, _ = _inputs(d, seed=12)
-    K = kernels.elem_tangent(grad(F), table(G), w, 1.3, 0.8, kind)
-    assert _close(K, _ref_elem_tangent(F, G, w, 1.3, 0.8, kind))
+    I = np.broadcast_to(np.eye(d), F.shape)
+    K = kernels.elem_tangent(table(G), w, 1.3, 0.8)
+    assert _close(K, _ref_elem_tangent(I, G, w, 1.3, 0.8, kind))
+    U = np.random.default_rng(17).standard_normal((G.shape[0], G.shape[2], d))
+    ref = np.einsum("caibj,cbj->cai", _ref_elem_tangent(F, G, w, 1.3, 0.8, kind), U)
+    assert _close(_product(F, G, w, U, kind), ref)
+
+
+def ref_stiffness(model, space, w):
+    """The stiffness K(w) of `model` on `space`, assembled from the einsum
+    reference element matrices."""
+    d = space.dim
+    F = pm(space.gradients([w])[:, :, 0]) + np.eye(d)
+    G = space.gradt.transpose(0, 3, 1, 2)
+    K = _ref_elem_tangent(F, G, space.wdet, model.lam, model.mu, KINDS[model.kind])
+    n = space.nloc * d
+    return space.scatter_matrix(K.reshape(len(space.cells), n, n))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["linear-isotropic", "saint-venant-kirchhoff"])
+@pytest.mark.parametrize("size", [0.0, 1e-6, 1e-2])
+def test_matrix_free_product_matches_assembled_reference(d, kind, size):
+    # K(0) assembled plus the matrix-free remainder, applied to random
+    # vectors and assembled for the system dumps, against the reference K(w)
+    # at displacement gradients of max size |Dw|
+    model = make_material(kind, 1.3, 0.8)
+    ss = _solid_space(d)
+    rng = np.random.default_rng(18)
+    w = rng.standard_normal(ss.ndof)
+    w *= size / max(np.abs(ss.gradients([w])).max(), 1e-300)
+    ref = ref_stiffness(model, ss, w)
+    remainder = StiffnessRemainder(model, ss, w)
+    J = TangentOperator(stiffness_matrix(model, ss), stiffness_remainder(model, ss, w))
+    for z in rng.standard_normal((3, ss.ndof)):
+        assert np.linalg.norm(J @ z - ref @ z) <= RTOL * np.linalg.norm(ref @ z)
+        if kind == "linear-isotropic" or size == 0.0:
+            assert not (remainder @ z).any()
+    A = J.assembled()
+    assert abs(A - ref).max() <= RTOL * abs(ref).max()
+    assert (stiffness_remainder(model, ss, w) is None) == (kind == "linear-isotropic")
+
+
+@functools.lru_cache(maxsize=None)
+def _solid_space(d):
+    return FieldSpace(build_annular_mesh(d, 0.4, 1.0, 4), SOLID, 2, d)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -10,6 +10,11 @@ be set by some library call outside its own definition: by keyword, by
 position, or through `*` / `**`.  The console entry point `cli.main` is the
 only exemption.  A knob that only tests turn is not a library feature.
 Calls are matched by bare name, as references are above.
+
+No class is defined inside a function body: a class made per call holds
+reference cycles (through its methods' globals and its own `__mro__` /
+`__dict__`), so whatever its instances hold outlives the call until the
+cyclic collector runs.
 """
 
 import ast
@@ -167,3 +172,29 @@ def test_guard_flags_a_test_only_parameter(tmp_path):
     assert unset_optional_parameters(tmp_path) == [
         "mod.f(only_tests)", "mod.f(kw_only)", "mod.Box.__init__(size)",
     ]
+
+
+def nested_classes(src=SRC):
+    """module:line of every class statement inside a function body."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                out += [f"{path.stem}:{node.lineno}" for node in ast.walk(fn)
+                        if isinstance(node, ast.ClassDef)]
+    return sorted(set(out))
+
+
+def test_no_class_is_defined_in_a_function():
+    assert nested_classes() == []
+
+
+def test_guard_flags_a_class_in_a_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Top:\n    def method(self):\n        class Inner:\n            pass\n"
+        "        return Inner\n\n\n"
+        "def f():\n    def g():\n        class Deep:\n            pass\n        return Deep\n"
+        "    return g\n"
+    )
+    assert nested_classes(tmp_path) == ["mod:10", "mod:3"]

@@ -16,20 +16,24 @@ from lagfsi.material import make_material
 from lagfsi.mesh import SOLID, build_annular_mesh
 from lagfsi.solid import (
     KRYLOV_MAXIT, KRYLOV_RTOL, LU_ORDERING, LU_PIVOT_THRESHOLD, NEWMARK_BETA, NEWMARK_GAMMA,
-    FactorStore, _krylov_solve, internal_force, lu_factor, newmark_update, newton_solve,
-    solid_residual, stiffness_matrix,
+    FactorStore, TangentOperator, _krylov_solve, internal_force, lu_factor, newmark_update,
+    newton_solve, solid_residual, stiffness_matrix, stiffness_remainder,
 )
 from lagfsi.spaces import FieldSpace
 
 from oracle_fem import DenseStep, make_tiny_mesh
+from test_kernels import ref_stiffness
 
 SVK = "saint-venant-kirchhoff"
 LIN = "linear-isotropic"
 
 
-def solid_tangent(model, space, mass, w, dt, beta=NEWMARK_BETA):
-    """Newton matrix (1/(beta dt^2)) M + K(D^2W at Dw + I) + M."""
-    return (1.0 / (beta * dt * dt) + 1.0) * mass + stiffness_matrix(model, space, w)
+def stiffness_operator(model, space, w, shift=None):
+    """K(w) + shift as the Newton solve takes it: K(0) + shift assembled,
+    plus the matrix-free remainder K(w) - K(0)."""
+    K0 = stiffness_matrix(model, space)
+    return TangentOperator(K0 if shift is None else K0 + shift,
+                           stiffness_remainder(model, space, w))
 
 
 @pytest.fixture(scope="module")
@@ -101,19 +105,21 @@ def test_linear_force_keeps_small_gradients_exact(amplitude):
     lin = make_material(LIN, 1.0, 1.0)
     ss = FieldSpace(build_annular_mesh(2, 0.4, 1.0, 4), SOLID, 2, 2)
     w = amplitude * np.random.default_rng(0).standard_normal(ss.ndof)
-    ref = stiffness_matrix(lin, ss, ss.zeros()) @ w
+    ref = stiffness_matrix(lin, ss) @ w
     assert np.linalg.norm(internal_force(lin, ss, w) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_tangent_at_zero_matches_linear(tiny):
+    # the identity-state stiffness is both kinds' tangent at w = 0, where the
+    # SVK remainder vanishes exactly
     problem, model = tiny
     ss = problem.sspace
-    lin = make_material(LIN, 1.0, 1.0)
-    Ksvk = stiffness_matrix(model, ss, ss.zeros()).toarray()
-    Klin = stiffness_matrix(lin, ss, ss.zeros()).toarray()
-    assert np.abs(Ksvk - Klin).max() < 1e-13
-    oracle = DenseStep(problem, model)
-    assert np.abs(Ksvk - oracle.stiffness(ss.zeros())).max() < 1e-12
+    K0 = stiffness_matrix(model, ss).toarray()
+    for kind in (SVK, LIN):
+        oracle = DenseStep(problem, make_material(kind, 1.0, 1.0))
+        assert np.abs(K0 - oracle.stiffness(ss.zeros())).max() < 1e-12
+    z = np.random.default_rng(0).standard_normal(ss.ndof)
+    assert not (stiffness_remainder(model, ss, ss.zeros()) @ z).any()
 
 
 def test_tangent_consistency(tiny):
@@ -121,13 +127,15 @@ def test_tangent_consistency(tiny):
     ss = problem.sspace
     rng = np.random.default_rng(1)
     w = 0.02 * rng.standard_normal(ss.ndof)
-    K = stiffness_matrix(model, ss, w)
+    K = stiffness_operator(model, ss, w)
     delta = rng.standard_normal(ss.ndof)
     errs = []
     for h in (1e-4, 5e-5):
         fd = (internal_force(model, ss, w + h * delta) - internal_force(model, ss, w)) / h
         errs.append(np.linalg.norm(fd - K @ delta))
     assert errs[1] < 0.7 * errs[0]
+    ref = ref_stiffness(model, ss, w) @ delta
+    assert np.linalg.norm(K @ delta - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_tangent_symmetry(tiny):
@@ -135,8 +143,13 @@ def test_tangent_symmetry(tiny):
     ss = problem.sspace
     rng = np.random.default_rng(2)
     w = 0.05 * rng.standard_normal(ss.ndof)
-    A = solid_tangent(model, ss, problem.M_solid, w, dt=0.01).toarray()
+    dt = 0.01
+    mass = (1.0 / (NEWMARK_BETA * dt * dt) + 1.0) * problem.M_solid
+    A = stiffness_operator(model, ss, w, mass).assembled().toarray()
     assert np.abs(A - A.T).max() < 1e-11
+    x, y = rng.standard_normal((2, ss.ndof))
+    J = stiffness_operator(model, ss, w, mass)
+    assert x @ (J @ y) == pytest.approx(y @ (J @ x), rel=1e-12)
 
 
 def test_newton_zero_data(tiny):
@@ -147,7 +160,7 @@ def test_newton_zero_data(tiny):
         return solid_residual(model, ss, problem.M_solid, u, ss.zeros())
 
     def tangent(u):
-        return stiffness_matrix(model, ss, u) + problem.M_solid
+        return stiffness_operator(model, ss, u, problem.M_solid)
 
     u, info = newton_solve(residual, tangent, ss.zeros(), tol=1e-12)
     assert info["iterations"] == 0
@@ -161,10 +174,10 @@ def test_newton_linear_single_iteration(tiny):
     load = 1e-3 * rng.standard_normal(ss.ndof)
 
     def residual(u):
-        return (stiffness_matrix(lin, ss, u * 0) + problem.M_solid) @ u - load
+        return (stiffness_matrix(lin, ss) + problem.M_solid) @ u - load
 
     def tangent(u):
-        return stiffness_matrix(lin, ss, u * 0) + problem.M_solid
+        return stiffness_operator(lin, ss, u, problem.M_solid)
 
     u, info = newton_solve(residual, tangent, rng.standard_normal(ss.ndof), tol=1e-10)
     assert info["iterations"] == 1
@@ -180,7 +193,7 @@ def test_newton_quadratic_convergence(annulus):
         return internal_force(model, ss, u) + problem.M_solid @ u - load
 
     def tangent(u):
-        return stiffness_matrix(model, ss, u) + problem.M_solid
+        return stiffness_operator(model, ss, u, problem.M_solid)
 
     u, info = newton_solve(residual, tangent, ss.zeros(), tol=1e-12, maxit=30)
     rs = info["residuals"]
@@ -199,7 +212,7 @@ def test_newton_maxit_raises(tiny):
         return internal_force(model, ss, u) + problem.M_solid @ u - load
 
     def tangent(u):
-        return stiffness_matrix(model, ss, u) + problem.M_solid
+        return stiffness_operator(model, ss, u, problem.M_solid)
 
     with pytest.raises(SolverError) as err:
         newton_solve(residual, tangent, ss.zeros(), tol=1e-14, maxit=1)
@@ -217,7 +230,7 @@ def test_newton_refactors_a_stale_tangent():
         return A @ u + u**3 - b
 
     def tangent(u):
-        return A + sp.diags(3 * u**2)
+        return TangentOperator((A + sp.diags(3 * u**2)).tocsc())
 
     u, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10)
     assert info["factorizations"] >= 2
@@ -226,7 +239,7 @@ def test_newton_refactors_a_stale_tangent():
     ref = np.zeros(n)
     for r in info["residuals"][:-1]:
         assert np.linalg.norm(residual(ref)) == pytest.approx(r, rel=1e-9, abs=1e-13)
-        ref = ref - np.linalg.solve(tangent(ref).toarray(), residual(ref))
+        ref = ref - np.linalg.solve(tangent(ref).matrix.toarray(), residual(ref))
 
 
 def _mild_cubic(n=100):
@@ -240,7 +253,7 @@ def _mild_cubic(n=100):
         return A @ u + c * u**3 - b
 
     def tangent(u):
-        return (A + sp.diags(3 * c * u**2)).tocsc()
+        return TangentOperator((A + sp.diags(3 * c * u**2)).tocsc())
 
     return residual, tangent
 
@@ -249,14 +262,14 @@ def test_newton_replaces_a_far_off_stored_factor():
     n = 100
     residual, tangent = _mild_cubic(n)
     store = FactorStore()
-    store.put(lu_factor(tangent(np.full(n, 100.0))), "dt")
+    store.put(lu_factor(tangent(np.full(n, 100.0)).matrix), "dt")
     u, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10, store=store, key="dt")
     assert info["factorizations"] == 1
     assert store.key == "dt" and store.lu is not None
     ref = np.zeros(n)
     for r in info["residuals"][:-1]:
         assert np.linalg.norm(residual(ref)) == pytest.approx(r, rel=1e-9, abs=1e-13)
-        ref = ref - np.linalg.solve(tangent(ref).toarray(), residual(ref))
+        ref = ref - np.linalg.solve(tangent(ref).matrix.toarray(), residual(ref))
     # a solve under another key does not use the stored factor
     _, info = newton_solve(residual, tangent, np.zeros(n), tol=1e-10, store=store, key="dt/2")
     assert info["factorizations"] == 1
@@ -266,7 +279,7 @@ def test_newton_failure_leaves_no_factor():
     n = 100
     residual, tangent = _mild_cubic(n)
     store = FactorStore()
-    store.put(lu_factor(tangent(np.zeros(n))), "dt")
+    store.put(lu_factor(tangent(np.zeros(n)).matrix), "dt")
     with pytest.raises(SolverError):
         newton_solve(residual, tangent, np.zeros(n), tol=1e-14, maxit=1, store=store, key="dt")
     assert store.lu is None and store.key is None
@@ -274,8 +287,9 @@ def test_newton_failure_leaves_no_factor():
 
 @functools.lru_cache(maxsize=None)
 def _first_step_tangent(dim, res):
-    """The coupled tangent of the first Newton iterate of a run's first step
-    (built once per module; callers must not modify it)."""
+    """The assembled coupled tangent of a run's first step, the matrix its
+    Newton solve factors (built once per module; callers must not modify
+    it)."""
     cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=1.0)
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
@@ -283,8 +297,7 @@ def _first_step_tangent(dim, res):
     state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
     op = fluid.assemble_fluid_operator(state.kin, ccfg.dt, ccfg.viscosity, problem.vspace,
                                        problem.pspace)
-    data = problem.tangent.step_data(op, ccfg.gamma)
-    return problem.tangent.matrix(data, stiffness_matrix(model, problem.sspace, state.w))
+    return problem.tangent.step_matrix(op, ccfg.gamma)
 
 
 @pytest.mark.parametrize("dim,res,fill_excess", [(2, 5, 0.0), (3, 4, 1e-5)])
@@ -292,7 +305,7 @@ def test_lu_factor_matches_default_relaxation(dim, res, fill_excess):
     # lu_factor keeps fundamental supernodes only; the reference factor uses
     # SuperLU's default supernode relaxation on the same ordering and pivot
     # threshold.  Its pivot sequence differs slightly: on 3-D res 4 the fill
-    # is 9 entries (2e-6) above the reference's 4.16 M, on 2-D res 5 it is
+    # is 18 entries (4e-6) above the reference's 4.16 M, on 2-D res 5 it is
     # below the reference's.
     J = _first_step_tangent(dim, res).tocsc()
     b = np.random.default_rng(dim).standard_normal(J.shape[0])
@@ -307,10 +320,10 @@ def test_lu_factor_matches_default_relaxation(dim, res, fill_excess):
 
 @pytest.mark.parametrize("dim,res", [(2, 5), (3, 4)])
 def test_single_precision_factor_keeps_the_fill(dim, res):
-    # the Newton tangent is factored in float32 on the same ordering, pivot
+    # the step's matrix is factored in float32 on the same ordering, pivot
     # threshold and relaxation: the pivot sequence may move, the fill may
-    # not (2-D res 5: 195 889 against 196 832; 3-D res 4: 4 161 873
-    # against 4 163 678)
+    # not (2-D res 5: 195 893 against 196 834; 3-D res 4: 4 161 846
+    # against 4 163 655)
     J = _first_step_tangent(dim, res).tocsc()
     lu64, lu32 = lu_factor(J), lu_factor(J.astype(np.float32))
     fill64, fill32 = lu64.L.nnz + lu64.U.nnz, lu32.L.nnz + lu32.U.nnz
@@ -387,7 +400,7 @@ def test_newton_singular_tangent_raises():
 
     def tangent(u):
         calls.append(u)
-        return A.tocsc()
+        return TangentOperator(A.tocsc())
 
     with pytest.raises(SolverError) as err:
         newton_solve(lambda u: A @ u - np.ones(6), tangent, np.zeros(6))
@@ -415,7 +428,7 @@ def test_undamped_energy_conservation(annulus):
     lin = make_material(LIN, 1.0, 1.0)
     ss = problem.sspace
     M = problem.M_solid.tocsc()
-    K = (stiffness_matrix(lin, ss, ss.zeros()) + problem.M_solid).tocsc()
+    K = (stiffness_matrix(lin, ss) + problem.M_solid).tocsc()
     vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0, which="LM")
     omega = np.sqrt(vals[0])
     period = 2 * np.pi / omega
