@@ -62,15 +62,19 @@ class CoupledProblem:
 
 class CoupledTangent:
     """The fixed CSC pattern of the coupled tangent in (v_free, q, w, lambda)
-    and, for each block matrix, the tangent slot of each of its entries.
+    and, for each source of its data, the tangent slot of each source entry.
 
-    Its data is filled in two layers: the constant blocks (M_f/dt, the
-    solid mass coefficient and the identity-state stiffness K(0), C_f, C_s
-    and its Newmark-scaled transpose, -gamma M_Gamma) once per (dt, gamma)
-    in `base`; the fluid blocks at a step's frozen a a^T in `step_matrix`.
-    The solid stiffness beyond K(0) is never assembled: the Newton solve
-    applies it matrix-free.  Every step's matrix shares the pattern's index
-    arrays.
+    The constant sources (M_f/dt, the solid mass coefficient and the
+    identity-state stiffness K(0), C_f, C_s and its Newmark-scaled
+    transpose, -gamma M_Gamma) are written once per (dt, gamma) in `base`.
+    A step's fluid element arrays go straight to tangent slots in
+    `step_matrix`: each scalar viscous entry K[c, a, b] feeds the d slots
+    ((a, i), (b, i)), and each divergence entry B[c, p, a, i] feeds one slot
+    of the B block and one of the -B^T block, so no fluid matrix is formed.
+    Entries on constrained fluid dofs go to a spare slot past the slots they
+    could fill, which no matrix sees.  The solid stiffness beyond K(0) is never
+    assembled: the Newton solve applies it matrix-free.  Every step's
+    matrix shares the pattern's index arrays.
     """
 
     def __init__(self, problem):
@@ -78,67 +82,91 @@ class CoupledTangent:
         free = problem.free_fluid
         fmap = np.where(free, np.cumsum(free) - 1, -1)
         self.sizes = (int(free.sum()), ps.nscalar, ss.ndof, iface.nlam)
-        visc = vs.assembly(components=True).pattern
-        div = ps.assembly(vs).pattern
+        visc = vs.assembly(components=True)
+        div = ps.assembly(vs)
         elastic = ss.assembly().pattern
-        Cf, Cs = sparsity.Pattern.of(iface.C_fluid), sparsity.Pattern.of(iface.C_solid)
+        Cf, Cs, Mg = (sparsity.Pattern.of(A) for A in (iface.C_fluid, iface.C_solid, iface.M_vec))
 
         def transposed(pattern, rows=None, cols=None):
             pattern_t, order = sparsity.transpose(pattern)
             sub, src = sparsity.restrict(pattern_t, rows, cols)
             return sub, order[src]
 
-        # block -> (pattern, slot of the source matrix carried by each of its
-        # slots; None: the source's own slots)
+        # block -> (source pattern, block pattern, slot of the source carried
+        # by each block slot; None: the source's own slots)
         views = {
-            (0, 0): sparsity.restrict(visc, fmap, fmap),
-            (0, 1): transposed(div, rows=fmap),
-            (0, 3): sparsity.restrict(Cf, fmap),
-            (1, 0): sparsity.restrict(div, cols=fmap),
-            (2, 2): (elastic, None),
-            (2, 3): (Cs, None),
-            (3, 0): transposed(Cf, cols=fmap),
-            (3, 2): transposed(Cs),
-            (3, 3): (sparsity.Pattern.of(iface.M_vec), None),
+            (0, 0): (visc.pattern, *sparsity.restrict(visc.pattern, fmap, fmap)),
+            (0, 1): (div.pattern, *transposed(div.pattern, rows=fmap)),
+            (0, 3): (Cf, *sparsity.restrict(Cf, fmap)),
+            (1, 0): (div.pattern, *sparsity.restrict(div.pattern, cols=fmap)),
+            (2, 2): (elastic, elastic, None),
+            (2, 3): (Cs, Cs, None),
+            (3, 0): (Cf, *transposed(Cf, cols=fmap)),
+            (3, 2): (Cs, *transposed(Cs)),
+            (3, 3): (Mg, Mg, None),
         }
-        self.pattern, slots = sparsity.stack({b: p for b, (p, _) in views.items()}, self.sizes)
-        # block -> (tangent slots, source slots): data[slots] += values[source]
-        self._terms = {b: (slots[b], src) for b, (_, src) in views.items()}
+        self.pattern, slots = sparsity.stack({b: p for b, (_, p, _) in views.items()},
+                                             self.sizes)
+        spare = self.pattern.nnz
+        # block -> tangent slot of each source entry
+        self._slot = {}
+        for block, (source, _, src) in views.items():
+            if src is None:
+                self._slot[block] = slots[block]
+            else:
+                self._slot[block] = np.full(source.nnz, spare, dtype=sparsity.INDEX)
+                self._slot[block][src] = slots[block]
         mass = sparsity.locate(ss.assembly(components=True).pattern, elastic)
-        self._terms["solid mass"] = (slots[2, 2][mass], None)
+        self._slot["solid mass"] = slots[2, 2][mass]
+        # the fluid blocks lie in the velocity and pressure columns, whose
+        # slots come first: a step's bincounts span those slots, and its
+        # dropped entries go to the slot after them
+        self._fluid_end = m = int(self.pattern.indptr[self.sizes[0] + self.sizes[1]])
+        # the velocity-pattern slot of each (component, scalar slot), by
+        # inverting the viscous assembly's gather, then its tangent slot
+        self._ncomp = d = vs.ncomp
+        by_comp = np.empty((d, visc.base.nnz), dtype=sparsity.INDEX)
+        by_comp[visc.pattern.columns() % d, visc.gather] = np.arange(visc.pattern.nnz)
+        self._visc = np.minimum(self._slot[0, 0], m)[by_comp][:, visc.slot].ravel()
+        self._div = np.minimum(np.concatenate([self._slot[1, 0][div.slot],
+                                               self._slot[0, 1][div.slot]]), m)
         self._constant = (problem.M_fluid, problem.M_solid, iface.C_fluid, iface.C_solid,
                           iface.M_vec)
         self._solid = (problem.model, ss)
         self._base_key = self._base = None
-
-    def _add(self, data, block, values, scale=1.0):
-        slots, src = self._terms[block]
-        data[slots] += scale * (values if src is None else values[src])
 
     def base(self, dt, gamma):
         """Data of the constant blocks at (dt, gamma), kept for the next call."""
         if self._base_key != (dt, gamma):
             M_f, M_s, C_f, C_s, M_g = self._constant
             self._base = None
-            data = np.zeros(self.pattern.nnz)
-            self._add(data, (0, 0), M_f.data, 1.0 / dt)
-            self._add(data, "solid mass", M_s.data, 1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0)
-            self._add(data, (2, 2), solidmod.stiffness_matrix(*self._solid).data)
-            self._add(data, (0, 3), C_f.data)
-            self._add(data, (3, 0), C_f.data)
-            self._add(data, (2, 3), C_s.data, -1.0)
-            self._add(data, (3, 2), C_s.data, -solidmod.newmark_rate_factor(dt))
-            self._add(data, (3, 3), M_g.data, -gamma)
-            self._base, self._base_key = data, (dt, gamma)
+            data = np.zeros(self.pattern.nnz + 1)
+            for block, values, scale in (
+                ((0, 0), M_f.data, 1.0 / dt),
+                ("solid mass", M_s.data, 1.0 / (solidmod.NEWMARK_BETA * dt * dt) + 1.0),
+                ((2, 2), solidmod.stiffness_matrix(*self._solid).data, 1.0),
+                ((0, 3), C_f.data, 1.0),
+                ((3, 0), C_f.data, 1.0),
+                ((2, 3), C_s.data, -1.0),
+                ((3, 2), C_s.data, -solidmod.newmark_rate_factor(dt)),
+                ((3, 3), M_g.data, -gamma),
+            ):
+                data[self._slot[block]] += scale * values
+            self._base, self._base_key = data[:-1], (dt, gamma)
         return self._base
 
-    def step_matrix(self, op, gamma):
-        """The step's assembled tangent for the fluid operator `op`: the
-        constant blocks plus viscosity K, B and -B^T."""
-        data = self.base(op.dt, gamma).copy()
-        self._add(data, (0, 0), op.K.data, op.viscosity)
-        self._add(data, (1, 0), op.B.data)
-        self._add(data, (0, 1), op.B.data, -1.0)
+    def step_matrix(self, elements, viscosity, dt, gamma):
+        """The step's assembled tangent: the constant blocks plus the fluid
+        element arrays (K, B) of `fluid.assemble_fluid_operator`, as
+        viscosity K, B and -B^T."""
+        K, B = elements
+        m = self._fluid_end
+        fluid = np.bincount(self._visc, np.tile(K.ravel(), self._ncomp), minlength=m + 1)
+        fluid *= viscosity
+        B = B.ravel()
+        fluid += np.bincount(self._div, np.concatenate([B, -B]), minlength=m + 1)
+        data = self.base(dt, gamma).copy()
+        data[:m] += fluid[:m]
         return self.pattern.matrix(data)
 
 
@@ -227,13 +255,14 @@ def coupled_step(state, cfg, model, step_index=0):
 
     The fluid coefficients a a^T are frozen at the current flow map; the
     flow map itself is advanced afterwards with the end-of-step velocity.
+    `step_index` labels the step in its log line and system dump files.
     """
     problem = state.problem
     vs, ps, ss = problem.vspace, problem.pspace, problem.sspace
     iface = problem.interface
     dt = cfg.dt
 
-    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps)
+    elements = fluidmod.assemble_fluid_operator(state.kin, vs, ps)
     free = problem.free_fluid
     M_s = problem.M_solid
     C_s = iface.C_solid
@@ -241,7 +270,7 @@ def coupled_step(state, cfg, model, step_index=0):
     # step's assembled tangent.  The trace rows' constant is C_s^T w_t(w = 0),
     # since the Newmark w_t is affine in w.  The exact tangent at u is P plus
     # the matrix-free (K(w) - K(0)) on the solid rows.
-    P = problem.tangent.step_matrix(op, cfg.gamma)
+    P = problem.tangent.step_matrix(elements, cfg.viscosity, dt, cfg.gamma)
     nf, nq, nw, _ = problem.tangent.sizes
     ws = slice(nf + nq, nf + nq + nw)
     wt_at_zero, _ = solidmod.newmark_update(np.zeros(nw), state.w, state.wt, state.wtt, dt)
@@ -275,7 +304,7 @@ def coupled_step(state, cfg, model, step_index=0):
     )
     info["retried"] = False
     log.info(
-        "step %d t=%.6g newton iterations=%d residuals=%s factorizations=%d krylov_its=%d",
+        "step %s t=%.6g newton iterations=%d residuals=%s factorizations=%d krylov_its=%d",
         step_index, state.time + dt, info["iterations"],
         ["%.3e" % r for r in info["residuals"]], info["factorizations"], info["krylov_its"],
     )
@@ -330,8 +359,8 @@ def _retry_halved(state, cfg, model, n):
     """Step n as two steps of dt/2.  The result's newton_info is flagged
     `retried` and counts the factorizations and GMRES iterations of both."""
     half = replace(cfg, dt=cfg.dt / 2)
-    mid = coupled_step(state, half, model, step_index=n)
-    new = coupled_step(mid, half, model, step_index=n)
+    mid = coupled_step(state, half, model, step_index=f"{n}_half1")
+    new = coupled_step(mid, half, model, step_index=f"{n}_half2")
     # the diagnostics difference the ring with cfg.dt: keep it spaced by dt,
     # without the half-step state
     new.history = state.next_history()

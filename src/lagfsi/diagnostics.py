@@ -257,8 +257,8 @@ def interface_residual_values(state, model, gamma, surf=None, v_f=None):
 
 class _RunningBalance:
     """The level-j balance residual of the reports added so far, updated in
-    O(1) a report: the value energy_identity_residual(reports, gamma, j)
-    gives without a window."""
+    O(1) a report: [V_j] from the first report with every level-j piece to
+    the latest such report, plus the trapezoid of g_j between them."""
 
     def __init__(self, j):
         self.j = j
@@ -322,25 +322,15 @@ def _level_integrand(rep, gamma, j):
 
 
 def energy_identity_residual(reports, gamma, j, window=None):
-    """Integrated level-j balance residual  [V_j]_s^t + int_s^t g_j dtau
-    by trapezoidal quadrature over the stored reports.
-
-    Without an explicit window the residual runs from the first report with
-    all level-j pieces available to the last; TrajectoryRecorder keeps the
-    same value per report with running sums.
-    """
-    ts = np.array([r.t for r in reports])
-    Vs = np.array([getattr(r, LEVEL_ENERGIES[j]) for r in reports], dtype=float)
-    gs = np.array([_level_integrand(r, gamma, j) for r in reports], dtype=float)
-    valid = ~(np.isnan(Vs) | np.isnan(gs))
-    if window is not None:
-        valid &= (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
-    idx = np.flatnonzero(valid)
-    if len(idx) < 2:
-        return nan
-    sl = slice(idx[0], idx[-1] + 1)
-    integral = float(np.trapezoid(gs[sl], ts[sl]))
-    return (Vs[idx[-1]] - Vs[idx[0]]) + integral
+    """Integrated level-j balance residual  [V_j]_s^t + int_s^t g_j dtau:
+    the running balance folded over the reports inside `window` (default:
+    all of them), from the first report with all level-j pieces available to
+    the last such report."""
+    balance = _RunningBalance(j)
+    for rep in reports:
+        if window is None or window[0] - 1e-12 <= rep.t <= window[1] + 1e-12:
+            balance.add(rep, gamma)
+    return balance.value
 
 
 # decay fits drop samples below this many machine epsilons of the first one

@@ -16,45 +16,20 @@ from .solid import lu_factor
 from .spaces import basis_values
 
 
-class FluidOperator:
-    """Implicit-Euler step blocks on the full fluid spaces at one flow map.
-
-    M/dt + viscosity K(a a^T) acts on velocity, with the constant mass M
-    kept by the coupled problem; B is the weak divergence row tr(a Dv); the
-    momentum equation carries -B^T on the pressure.  The coupling module
-    places the blocks in the coupled tangent.
-    """
-
-    def __init__(self, K, B, dt, viscosity):
-        self.K = K
-        self.B = B
-        self.dt = dt
-        self.viscosity = viscosity
-
-
-def viscous_matrix(space, aaT):
-    """Vector stiffness with matrix coefficient a a^T (component-diagonal)."""
-    return space.scatter_matrix(kernels.visc_elements(aaT, space.gradt, space.wdet))
-
-
-def divergence_matrix(vspace, pspace, a):
-    """Constraint rows: B[p, (a,i)] = int psi_p a_{ki} d_k phi_a."""
-    valp = basis_values(vspace.dim, pspace.degree, vspace.qp)
-    elems = kernels.div_elements(a, vspace.gradt, valp, vspace.wdet)
-    nc, nlocp, nloca, d = elems.shape
-    return pspace.scatter_matrix(elems.reshape(nc, nlocp, nloca * d), vspace)
-
-
-def assemble_fluid_operator(kin, dt, viscosity, vspace, pspace):
-    """Blocks of the implicit-Euler fluid step at the current flow map."""
+def assemble_fluid_operator(kin, vspace, pspace):
+    """Element arrays of the implicit-Euler fluid step at the current flow map:
+    the viscous K[c, a, b] with coefficient a a^T, acting on each velocity
+    component alike, and the weak divergence B[c, p, a, i] of the constraint
+    row tr(a Dv); the momentum equation carries -B^T on the pressure.  The
+    coupled tangent scatters them straight into its data."""
     margin = kin.min_ellip
     if margin <= 0:
         raise MeshDegenerationError(
             f"coefficient a a^T lost ellipticity (min eigenvalue {margin:.3e})"
         )
-    K = viscous_matrix(vspace, kin.aaT)
-    B = divergence_matrix(vspace, pspace, kin.a)
-    return FluidOperator(K, B, dt, viscosity)
+    valp = basis_values(vspace.dim, pspace.degree, vspace.qp)
+    return (kernels.visc_elements(kin.aaT, vspace.gradt, vspace.wdet),
+            kernels.div_elements(kin.a, vspace.gradt, valp, vspace.wdet))
 
 
 def _outer_facet_tables(mesh, pspace):

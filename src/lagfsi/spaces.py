@@ -252,14 +252,12 @@ class FieldSpace:
             self._assemblies[key] = asm
         return self._assemblies[key]
 
-    def scatter_matrix(self, elem, trial=None):
-        """Assemble element matrices into a CSC matrix on the fixed pattern of
-        this space and `trial` (default: this space).  elem is
-        (ncr, nloc*ncomp, nloc_t*ncomp_t), or (ncr, nloc, nloc_t) for scalar
-        element matrices acting on each component alike."""
-        trial = self if trial is None else trial
-        components = self.ncomp > 1 and elem.shape[1:] == (self.nloc, trial.nloc)
-        return self.assembly(trial, components).matrix(elem)
+    def scatter_matrix(self, elem):
+        """Assemble element matrices into a CSC matrix on this space's fixed
+        pattern.  elem is (ncr, nloc*ncomp, nloc*ncomp), or (ncr, nloc, nloc)
+        for scalar element matrices acting on each component alike."""
+        components = self.ncomp > 1 and elem.shape[1:] == (self.nloc, self.nloc)
+        return self.assembly(components=components).matrix(elem)
 
     def scatter_vector(self, elem):
         """Assemble element vectors (ncr, nloc*ncomp) into a global vector."""

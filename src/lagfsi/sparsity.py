@@ -184,8 +184,9 @@ def stack(blocks, sizes):
     indices = np.empty(indptr[-1], dtype=INDEX)
     slots = {}
     for (I, J), p in blocks.items():
-        col = p.columns()
-        g = indptr[off[J] + col] + before[I, J][col] + (np.arange(p.nnz, dtype=INDEX) - p.indptr[col])
+        # block slot k, in column c, goes to tangent slot first[c] + k
+        first = indptr[off[J]:off[J + 1]] + before[I, J] - p.indptr[:-1]
+        g = np.repeat(first, np.diff(p.indptr)) + np.arange(p.nnz, dtype=INDEX)
         indices[g] = p.indices + off[I]
         slots[I, J] = g
     return Pattern((off[-1], off[-1]), indptr, indices), slots

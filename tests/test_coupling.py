@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lagfsi import coupling
+from lagfsi import coupling, fluid, kernels
 from lagfsi.config import RunConfig
 from lagfsi.coupling import (
     CoupledProblem, coupled_step, initial_state, run_simulation,
@@ -17,6 +17,7 @@ from lagfsi.diagnostics import interface_residual_values
 from lagfsi.errors import PreconditionError, SolverError
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
+from lagfsi.spaces import basis_values
 
 from oracle_fem import DenseStep, make_tiny_mesh
 from test_kernels import ref_stiffness
@@ -311,7 +312,7 @@ def test_retry_keeps_history_spaced_by_dt(monkeypatch):
     assert retried[-1].res_j1 == pytest.approx(uniform[-1].res_j1, rel=0.01)
     # the half steps factor at once instead of trying the factor kept for dt,
     # and the step after them factors again at dt
-    (_, dt1, first), (_, dt2, second) = [i for i in infos if i[0] == 10]
+    (_, dt1, first), (_, dt2, second) = [i for i in infos if i[0] in ("10_half1", "10_half2")]
     (_, dt3, after), = [i for i in infos if i[0] == 11]
     assert (dt1, dt2, dt3) == (5e-3, 5e-3, 1e-2)
     assert first["factorizations"] == 1
@@ -396,17 +397,59 @@ def test_vtk_and_system_dumps(tmp_path, monkeypatch):
     assert np.abs(rhs - residual(u0)).max() <= 1e-12 * np.abs(rhs).max()
 
 
+def test_system_dumps_keep_every_iterate_of_a_retried_step(tmp_path, monkeypatch):
+    # an injected failure at step 2: the two dt/2 steps dump under their own
+    # names, so there is one file per Newton iterate of the run
+    from lagfsi import solid as solidmod
+
+    step, solve = coupling.coupled_step, solidmod.newton_solve
+    failed, iterations = [], []
+
+    def fail_once_at_step_2(state, cfg, model, step_index=0):
+        if step_index == 2 and not failed:
+            failed.append(step_index)
+            raise SolverError("injected failure")
+        return step(state, cfg, model, step_index)
+
+    def counted(*args, **kwargs):
+        u, info = solve(*args, **kwargs)
+        iterations.append(info["iterations"])
+        return u, info
+
+    monkeypatch.setattr(coupling, "coupled_step", fail_once_at_step_2)
+    monkeypatch.setattr(solidmod, "newton_solve", counted)
+    cfg = RunConfig(resolution=4, dt=1e-2, t_end=0.03)
+    ccfg = cfg.coupling_config(dump_systems=True, dump_prefix=str(tmp_path / "sys"))
+    run_simulation(ccfg, cfg.make_initial_data(), cfg.make_material(), cfg.make_mesh())
+    dumps = {p.name for p in tmp_path.glob("sys_*.txt")}
+    assert failed == [2] and len(iterations) == 4
+    assert len(dumps) == sum(iterations)
+    assert {"sys_step2_half1_it0.txt", "sys_step2_half2_it0.txt"} <= dumps
+
+
+def fluid_matrices(problem, kin):
+    """The viscous K and the divergence B on the full fluid spaces at the flow
+    map `kin`, assembled from the element kernels by the spaces' fixed-pattern
+    assemblies (scatter_matrix for K)."""
+    vs, ps = problem.vspace, problem.pspace
+    K = vs.scatter_matrix(kernels.visc_elements(kin.aaT, vs.gradt, vs.wdet))
+    valp = basis_values(vs.dim, ps.degree, vs.qp)
+    B = kernels.div_elements(kin.a, vs.gradt, valp, vs.wdet)
+    return K, ps.assembly(vs).matrix(B)
+
+
 def _block_step(problem, state, cfg, model):
     """The coupled tangent (as a function of w) and residual of one step,
     assembled block by block with sp.bmat and [free][:, free] slicing, with
-    the solid stiffness from the einsum reference element matrices."""
-    from lagfsi import fluid as fluidmod, solid as solidmod
+    the fluid matrices of `fluid_matrices` and the solid stiffness from the
+    einsum reference element matrices."""
+    from lagfsi import solid as solidmod
 
     vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
     dt, free = cfg.dt, problem.free_fluid
-    op = fluidmod.assemble_fluid_operator(state.kin, dt, cfg.viscosity, vs, ps)
-    A_ff = (problem.M_fluid / dt + op.viscosity * op.K).tocsr()[free][:, free]
-    B_f = op.B.tocsc()[:, free]
+    K, B = fluid_matrices(problem, state.kin)
+    A_ff = (problem.M_fluid / dt + cfg.viscosity * K).tocsr()[free][:, free]
+    B_f = B.tocsc()[:, free]
     C_f = iface.C_fluid.tocsr()[free]
     C_s, M_s, Mg = iface.C_solid, problem.M_solid, iface.M_vec
     rate = solidmod.newmark_rate_factor(dt)
@@ -477,6 +520,50 @@ def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
         if k in (0, 3):
             assert J.nnz == (35478 if dim == 2 else 390027)
         state = new
+
+
+@pytest.mark.parametrize("dim,res", [(2, 5), (3, 4)])
+def test_fluid_blocks_match_scattered_matrices_bit_for_bit(dim, res):
+    # the step tangent's velocity and pressure blocks against M_f/dt + nu K
+    # and +-B assembled by the spaces' assemblies and sliced to the free dofs,
+    # bit for bit, one step away from the identity flow map; its structure
+    # against the block matrix of the block patterns
+    cfg = RunConfig(dimension=dim, resolution=res, dt=1e-2, gamma=1.0)
+    model = cfg.make_material()
+    problem = CoupledProblem(cfg.make_mesh(), model)
+    ccfg = cfg.coupling_config()
+    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    state = coupled_step(state, ccfg, model, 1)
+    vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
+    free = problem.free_fluid
+    nf, nq = problem.tangent.sizes[:2]
+    K, B = fluid_matrices(problem, state.kin)
+    B_f = B.tocsr()[:, free]
+    elements = fluid.assemble_fluid_operator(state.kin, vs, ps)
+    for viscosity in (1.0, 0.37):
+        P = problem.tangent.step_matrix(elements, viscosity, ccfg.dt, ccfg.gamma)
+        Pr = P.tocsr()
+        A_ff = (problem.M_fluid / ccfg.dt + viscosity * K).tocsr()[free][:, free]
+        assert (Pr[:nf, :nf] != A_ff).nnz == 0
+        assert (Pr[nf:nf + nq, :nf] != B_f).nnz == 0
+        assert (Pr[:nf, nf:nf + nq] != -B_f.T).nnz == 0
+
+    def ones(A):
+        A = sp.csr_matrix(A, copy=True)
+        A.data[:] = 1.0
+        return A
+
+    n = ss.nloc * ss.ncomp
+    elastic = ones(ss.scatter_matrix(np.ones((len(ss.cells), n, n))))
+    C_f = ones(iface.C_fluid)[free]
+    C_s = ones(iface.C_solid)
+    ref = sp.bmat([[ones(K)[free][:, free], ones(B_f).T, None, C_f],
+                   [ones(B_f), None, None, None],
+                   [None, None, elastic, C_s],
+                   [C_f.T, None, C_s.T, ones(iface.M_vec)]], format="csc")
+    ref.sort_indices()
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
 
 
 def test_tangents_share_one_pattern(monkeypatch):

@@ -6,9 +6,7 @@ import scipy.sparse.linalg as spla
 
 from lagfsi.coupling import CoupledProblem
 from lagfsi.errors import MeshDegenerationError
-from lagfsi.fluid import (
-    assemble_fluid_operator, solve_initial_pressure, viscous_matrix,
-)
+from lagfsi.fluid import assemble_fluid_operator, solve_initial_pressure
 from lagfsi.kinematics import KinematicState, _min_eig_sym, advance_flow_map
 from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
@@ -16,9 +14,21 @@ from lagfsi.mesh import build_annular_mesh
 from oracle_fem import DenseStep, eta, make_tiny_mesh
 
 
-def step_matrix(problem, op):
-    """The implicit-Euler velocity block M/dt + viscosity K of a FluidOperator."""
-    return problem.M_fluid / op.dt + op.viscosity * op.K
+def fluid_blocks(problem, kin, dt, viscosity=1.0):
+    """The free-dof blocks of the coupled tangent at the flow map `kin`: the
+    implicit-Euler velocity block M/dt + viscosity K, the divergence B and the
+    pressure column -B^T."""
+    elements = assemble_fluid_operator(kin, problem.vspace, problem.pspace)
+    P = problem.tangent.step_matrix(elements, viscosity, dt, 1.0).tocsr()
+    nf, nq = problem.tangent.sizes[:2]
+    return P[:nf, :nf], P[nf:nf + nq, :nf], P[:nf, nf:nf + nq]
+
+
+def viscous_block(problem, kin, dt):
+    """The viscous K on the free velocity dofs: the velocity block at
+    viscosity 1 less M/dt."""
+    free = problem.free_fluid
+    return fluid_blocks(problem, kin, dt)[0] - problem.M_fluid.tocsr()[free][:, free] / dt
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +49,13 @@ def annulus():
 def test_identity_coefficients_match_dense_oracle(tiny):
     problem, model = tiny
     kin = KinematicState.initial(problem.vspace, problem.interface)
-    op = assemble_fluid_operator(kin, 0.1, 1.0, problem.vspace, problem.pspace)
+    A, B, Bt = fluid_blocks(problem, kin, 0.1)
     oracle = DenseStep(problem, model)
     Mo, Ao, Bo = oracle.fluid_matrices(eta(kin), 0.1, 1.0)
-    assert np.abs(step_matrix(problem, op).toarray() - Ao).max() < 1e-12
-    assert np.abs(op.B.toarray() - Bo).max() < 1e-12
+    free = problem.free_fluid
+    assert np.abs(A.toarray() - Ao[np.ix_(free, free)]).max() < 1e-12
+    assert np.abs(B.toarray() - Bo[:, free]).max() < 1e-12
+    assert abs(Bt + B.T).max() == 0
     assert np.abs(problem.M_fluid.toarray() - Mo).max() < 1e-12
 
 
@@ -54,11 +66,13 @@ def test_variable_coefficients_match_dense_oracle(tiny):
         lambda x: 0.05 * np.array([np.sin(x[0] + x[1]), x[0] * x[1]])
     )
     kin = advance_flow_map(kin0, v, 0.5)
-    op = assemble_fluid_operator(kin, 0.1, 1.0, problem.vspace, problem.pspace)
+    A, B, Bt = fluid_blocks(problem, kin, 0.1)
     oracle = DenseStep(problem, model)
     _, Ao, Bo = oracle.fluid_matrices(eta(kin), 0.1, 1.0)
-    assert np.abs(step_matrix(problem, op).toarray() - Ao).max() < 1e-11
-    assert np.abs(op.B.toarray() - Bo).max() < 1e-11
+    free = problem.free_fluid
+    assert np.abs(A.toarray() - Ao[np.ix_(free, free)]).max() < 1e-11
+    assert np.abs(B.toarray() - Bo[:, free]).max() < 1e-11
+    assert abs(Bt + B.T).max() == 0
 
 
 def test_viscous_block_symmetric_psd(annulus):
@@ -66,33 +80,32 @@ def test_viscous_block_symmetric_psd(annulus):
     kin0 = KinematicState.initial(problem.vspace, problem.interface)
     v = problem.vspace.interpolate(lambda x: 0.1 * np.array([x[1] ** 2, -x[0]]))
     kin = advance_flow_map(kin0, v, 0.4)
-    K = viscous_matrix(problem.vspace, kin.aaT).toarray()
+    # the viscous block on the free dofs
+    K = viscous_block(problem, kin, 1.0).toarray()
     assert np.abs(K - K.T).max() < 1e-12
     w = np.linalg.eigvalsh(0.5 * (K + K.T))
     assert w.min() > -1e-10
     # strict positivity on the constrained subspace (free dofs, ker B)
-    op = assemble_fluid_operator(kin, 1.0, 1.0, problem.vspace, problem.pspace)
-    free = problem.free_fluid
-    Bf = op.B[:, free].toarray()
+    Bf = fluid_blocks(problem, kin, 1.0)[1].toarray()
     _, s, Vt = np.linalg.svd(Bf)
     null = Vt[(s > 1e-10 * s.max()).sum():].T
-    Kf = K[np.ix_(free, free)]
-    proj = null.T @ Kf @ null
+    proj = null.T @ K @ null
     assert np.linalg.eigvalsh(0.5 * (proj + proj.T)).min() > 0
 
 
 def test_constraint_on_divergence_free_field(tiny):
     problem, model = tiny
     kin = KinematicState.initial(problem.vspace, problem.interface)
-    op = assemble_fluid_operator(kin, 1.0, 1.0, problem.vspace, problem.pspace)
+    B = fluid_blocks(problem, kin, 1.0)[1]
     oracle = DenseStep(problem, model)
     _, _, Bo = oracle.fluid_matrices(eta(kin), 1.0, 1.0)
-    # build a discretely divergence-free field from the oracle's nullspace
-    _, s, Vt = np.linalg.svd(Bo)
+    # build a discretely divergence-free field from the oracle's nullspace on
+    # the free dofs
+    _, s, Vt = np.linalg.svd(Bo[:, problem.free_fluid])
     null = Vt[(s > 1e-10 * s.max()).sum():].T
     rng = np.random.default_rng(0)
     v = null @ rng.standard_normal(null.shape[1])
-    assert np.abs(op.B @ v).max() <= 1e-12
+    assert np.abs(B @ v).max() <= 1e-12
 
 
 def test_ellipticity_precondition():
@@ -102,7 +115,7 @@ def test_ellipticity_precondition():
         min_ellip = _min_eig_sym(aaT).min()
 
     with pytest.raises(MeshDegenerationError):
-        assemble_fluid_operator(FakeKin(), 0.1, 1.0, None, None)
+        assemble_fluid_operator(FakeKin(), None, None)
 
 
 def test_initial_pressure_zero_data(annulus):
@@ -174,23 +187,21 @@ def test_discrete_energy_inequality(annulus):
     shift = vs.interpolate(lambda x: 0.05 * np.array([np.sin(2 * x[1]), np.cos(2 * x[0])]))
     kin = advance_flow_map(kin0, shift, 1.0)
     dt = 0.05
-    op = assemble_fluid_operator(kin, dt, 1.0, vs, ps)
     free = problem.free_fluid
     bump = lambda x: (x @ x - 0.16) * (1.0 - x @ x)
     v0 = vs.interpolate(lambda x: 0.1 * np.array([bump(x) * x[1], -bump(x) * x[0]]))
     import scipy.sparse as sp
 
-    A = step_matrix(problem, op)[free][:, free]
-    B = op.B[:, free]
+    A, B, Bt = fluid_blocks(problem, kin, dt)
     nq = ps.nscalar
-    J = sp.bmat([[A, -B.T], [B, None]], format="csc")
+    J = sp.bmat([[A, Bt], [B, None]], format="csc")
     M = problem.M_fluid
     rhs = np.concatenate([(M @ v0)[free] / dt, np.zeros(nq)])
     sol = spla.spsolve(J, rhs)
     v1 = np.zeros(vs.ndof)
     v1[free] = sol[: free.sum()]
-    K = op.K
-    lhs = v1 @ M @ v1 + 2 * dt * (v1 @ K @ v1)
+    K = viscous_block(problem, kin, dt)
+    lhs = v1 @ M @ v1 + 2 * dt * (v1[free] @ K @ v1[free])
     rhs_e = v0 @ M @ v0
     assert lhs <= rhs_e + 1e-14 * rhs_e
 
@@ -199,11 +210,8 @@ def pressure_schur_condition(problem, dt=1.0, viscosity=1.0):
     """Condition number of the pressure Schur complement at a = I
     (tracked as an inf-sup health indicator, not gated)."""
     kin = KinematicState.initial(problem.vspace, problem.interface)
-    op = assemble_fluid_operator(kin, dt, viscosity, problem.vspace, problem.pspace)
-    free = problem.free_fluid
-    A = step_matrix(problem, op)[free][:, free].tocsc()
-    B = op.B[:, free].tocsr()
-    Ainv = spla.splu(A)
+    A, B, _ = fluid_blocks(problem, kin, dt, viscosity)
+    Ainv = spla.splu(A.tocsc())
     S = np.array([B @ Ainv.solve(col) for col in B.toarray()])
     S = 0.5 * (S + S.T)
     w = np.linalg.eigvalsh(S)

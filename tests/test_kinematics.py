@@ -214,7 +214,7 @@ def test_ellipticity_floor_computed_once_per_state(setup, monkeypatch):
     kin = advance_flow_map(KinematicState.initial(vs, iface), v, 0.1)
     calls = []
     monkeypatch.setattr(kinematics, "_min_eig_sym", lambda M: calls.append(M))
-    assemble_fluid_operator(kin, 0.1, 1.0, vs, FieldSpace(mesh, FLUID, 1, 1, quad_degree=5))
+    assemble_fluid_operator(kin, vs, FieldSpace(mesh, FLUID, 1, 1, quad_degree=5))
     rep = kinematic_bounds_report(kin)
     assert calls == []
     assert rep.min_ellipticity == min(kin.min_ellip, kin.min_ellip_facet)

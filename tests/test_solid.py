@@ -295,9 +295,8 @@ def _first_step_tangent(dim, res):
     problem = CoupledProblem(cfg.make_mesh(), model)
     ccfg = cfg.coupling_config()
     state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
-    op = fluid.assemble_fluid_operator(state.kin, ccfg.dt, ccfg.viscosity, problem.vspace,
-                                       problem.pspace)
-    return problem.tangent.step_matrix(op, ccfg.gamma)
+    elements = fluid.assemble_fluid_operator(state.kin, problem.vspace, problem.pspace)
+    return problem.tangent.step_matrix(elements, ccfg.viscosity, ccfg.dt, ccfg.gamma)
 
 
 @pytest.mark.parametrize("dim,res,fill_excess", [(2, 5, 0.0), (3, 4, 1e-5)])
