@@ -148,6 +148,37 @@ def _single_run(cfg, args, **overrides):
     return reports
 
 
+def _decay_fits(cfg, reports):
+    """sigma and R^2 of the decay fits of X and of V0e over the second half
+    of the run."""
+    out = []
+    for col in ("X", "V0e"):
+        series = [(r.t, getattr(r, col)) for r in reports]
+        try:
+            _, sigma, r2 = fit_decay_rate(series, window=(cfg.t_end / 2, cfg.t_end))
+        except FitDomainError:
+            vals = np.array([x for _, x in series], dtype=float)
+            # an identically zero trajectory reads 0, any other unfittable one NaN
+            sigma = r2 = 0.0 if np.nanmax(np.abs(vals), initial=0.0) == 0.0 else float("nan")
+        out += [sigma, r2]
+    return out
+
+
+def _identity_residuals(cfg, reports):
+    """|res_j0| and |res_j1| over the identity window."""
+    window = (cfg.identity_window_start, cfg.t_end)
+    return [abs(diagnostics.energy_identity_residual(reports, cfg.gamma, j, window))
+            for j in (0, 1)]
+
+
+# study kind -> (swept setting, summary name, summary header, the summary
+# values of one run)
+_STUDIES = {
+    "gamma-sweep": ("gamma", "sweep", "gamma sigma_X R2_X sigma_V0e R2_V0e", _decay_fits),
+    "dt-study": ("dt", "dtstudy", "dt res_j0 res_j1 order_j0 order_j1", _identity_residuals),
+}
+
+
 def cmd_run(cfg, args):
     kind = cfg.experiment_kind
     if kind == "single":
@@ -155,61 +186,29 @@ def cmd_run(cfg, args):
         _echo_config(cfg, cfg.output_csv)
         print(f"wrote {cfg.output_csv} ({len(reports)} reports)")
         return 0
-    if kind == "gamma-sweep":
-        base = cfg.output_csv.rsplit(".csv", 1)[0]
-        rows = []
-        for g in cfg.sweep_gamma:
-            path = f"{base}_gamma{g:g}.csv"
-            reports = _single_run(cfg, args, gamma=g, output_csv=path)
-            _echo_config(cfg, path)
-            row = {"gamma": g}
-            for col in ("X", "V0e"):
-                series = [(r.t, getattr(r, col)) for r in reports]
-                try:
-                    _, sigma, r2 = fit_decay_rate(series, window=(cfg.t_end / 2, cfg.t_end))
-                    row[col] = (sigma, r2)
-                except FitDomainError:
-                    vals = np.array([x for _, x in series], dtype=float)
-                    if np.nanmax(np.abs(vals), initial=0.0) == 0.0:
-                        row[col] = (0.0, 0.0)  # identically zero trajectory
-                    else:
-                        row[col] = (float("nan"), float("nan"))
-            rows.append(row)
-        with open(base + "_sweep_summary.txt", "w") as fh:
-            fh.write("gamma sigma_X R2_X sigma_V0e R2_V0e\n")
-            for row in rows:
-                fh.write(
-                    f"{row['gamma']!r} {row['X'][0]!r} {row['X'][1]!r} "
-                    f"{row['V0e'][0]!r} {row['V0e'][1]!r}\n")
+    if kind not in _STUDIES:
+        raise ConfigError(f"unhandled experiment kind {kind!r}")
+    key, name, header, summarize = _STUDIES[kind]
+    base = cfg.output_csv.rsplit(".csv", 1)[0]
+    rows = []
+    for x in getattr(cfg, f"sweep_{key}"):
+        path = f"{base}_{key}{x:g}.csv"
+        reports = _single_run(cfg, args, output_csv=path, **{key: x})
+        _echo_config(cfg, path)
+        row = [x, *summarize(cfg, reports)]
+        if kind == "dt-study":
+            # observed orders of res_j0 and res_j1 from the previous dt
+            prev = rows[-1] if rows else None
+            row += [float(np.log(prev[i] / row[i]) / np.log(prev[0] / x)) if prev
+                    else float("nan") for i in (1, 2)]
+        rows.append(row)
+    with open(f"{base}_{name}_summary.txt", "w") as fh:
+        fh.write(header + "\n")
         for row in rows:
-            print(f"gamma={row['gamma']:g}: sigma_X={row['X'][0]:.4g} "
-                  f"(R2 {row['X'][1]:.3f}), sigma_V0e={row['V0e'][0]:.4g}")
-        return 0
-    if kind == "dt-study":
-        base = cfg.output_csv.rsplit(".csv", 1)[0]
-        res = []
-        for dt in cfg.sweep_dt:
-            path = f"{base}_dt{dt:g}.csv"
-            reports = _single_run(cfg, args, dt=dt, output_csv=path)
-            _echo_config(cfg, path)
-            window = (cfg.identity_window_start, cfg.t_end)
-            r0 = abs(diagnostics.energy_identity_residual(reports, cfg.gamma, 0, window))
-            r1 = abs(diagnostics.energy_identity_residual(reports, cfg.gamma, 1, window))
-            res.append((dt, r0, r1))
-        with open(base + "_dtstudy_summary.txt", "w") as fh:
-            fh.write("dt res_j0 res_j1 order_j0 order_j1\n")
-            for i, (dt, r0, r1) in enumerate(res):
-                if i == 0:
-                    o0 = o1 = float("nan")
-                else:
-                    pdt, pr0, pr1 = res[i - 1]
-                    o0 = float(np.log(pr0 / r0) / np.log(pdt / dt))
-                    o1 = float(np.log(pr1 / r1) / np.log(pdt / dt))
-                fh.write(f"{dt!r} {r0!r} {r1!r} {o0!r} {o1!r}\n")
-                print(f"dt={dt:g}: res_j0={r0:.4e} res_j1={r1:.4e} "
-                      f"order_j0={o0:.3f} order_j1={o1:.3f}")
-        return 0
-    raise ConfigError(f"unhandled experiment kind {kind!r}")
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in rows:
+        print(" ".join(f"{label}={float(v):.4g}" for label, v in zip(header.split(), row)))
+    return 0
 
 
 def main(argv=None):

@@ -18,6 +18,7 @@ interface exchange terms cancel up to the exact dissipation
 gamma ||lambda||^2, which is what the energy-identity diagnostics check.
 """
 
+import contextlib
 import logging
 from collections import deque
 from dataclasses import replace
@@ -51,7 +52,6 @@ class CoupledProblem:
         self.M_fluid = self.vspace.mass_matrix()
         self.M_solid = self.sspace.mass_matrix()
         self.free_fluid = self.vspace.free_mask(meshmod.OUTER)
-        self.outer_tables = fluidmod._outer_facet_tables(mesh, self.pspace)
         # interface trace nodes never sit on the outer boundary
         assert self.free_fluid[self.interface.C_fluid.indices].all()
         self.tangent = CoupledTangent(self)
@@ -325,33 +325,37 @@ def run_simulation(cfg, init, model, mesh):
     """Drive the coupled system from t = 0 to t_end.
 
     `init` supplies (v0, w0, w1) dof arrays via build(problem) or as a tuple.
-    Returns (reports, final_state); writes the CSV when cfg.output_csv is set.
+    Returns (reports, final_state).  When cfg.output_csv is set, the CSV is
+    opened before any work is done, so an unwritable path fails first, and
+    its rows are written after the last step; a run that fails leaves it
+    empty.
     """
-    problem = CoupledProblem(mesh, model)
-    if hasattr(init, "build"):
-        v0, w0, w1 = init.build(problem)
-    else:
-        v0, w0, w1 = init
-    state = initial_state(problem, cfg, model, v0, w0, w1)
-    recorder = diagnostics.TrajectoryRecorder(problem, model, cfg)
-    recorder.add(state)
-
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    for n in range(1, nsteps + 1):
-        try:
-            new = coupled_step(state, cfg, model, step_index=n)
-        except SolverError as exc:
-            log.warning("step %d failed (%s); retrying with dt/2", n, exc)
-            new = None
-        # retry outside the handler: the exception's frames hold the failed
-        # solve's tangent and factor
-        state = new if new is not None else _retry_halved(state, cfg, model, n)
+    with open(cfg.output_csv, "w") if cfg.output_csv else contextlib.nullcontext() as csv:
+        problem = CoupledProblem(mesh, model)
+        if hasattr(init, "build"):
+            v0, w0, w1 = init.build(problem)
+        else:
+            v0, w0, w1 = init
+        state = initial_state(problem, cfg, model, v0, w0, w1)
+        recorder = diagnostics.TrajectoryRecorder(problem, model, cfg)
         recorder.add(state)
-        if cfg.output_vtk_every and n % cfg.output_vtk_every == 0:
-            _export_state(cfg, problem, state, n)
 
-    if cfg.output_csv:
-        diagnostics.write_csv(cfg.output_csv, recorder.reports)
+        nsteps = int(round(cfg.t_end / cfg.dt))
+        for n in range(1, nsteps + 1):
+            try:
+                new = coupled_step(state, cfg, model, step_index=n)
+            except SolverError as exc:
+                log.warning("step %d failed (%s); retrying with dt/2", n, exc)
+                new = None
+            # retry outside the handler: the exception's frames hold the
+            # failed solve's tangent and factor
+            state = new if new is not None else _retry_halved(state, cfg, model, n)
+            recorder.add(state)
+            if cfg.output_vtk_every and n % cfg.output_vtk_every == 0:
+                _export_state(cfg, problem, state, n)
+
+        if csv is not None:
+            diagnostics.write_csv(csv, recorder.reports)
     return recorder.reports, state
 
 
@@ -376,21 +380,13 @@ def _retry_halved(state, cfg, model, n):
 def _export_state(cfg, problem, state, n):
     mesh = problem.mesh
     nv = len(mesh.vertices)
-    d = mesh.dimension
-    vel = np.zeros((nv, d))
-    disp = np.zeros((nv, d))
-    pres = np.zeros(nv)
-    vdofs = problem.vspace.g2l[np.arange(nv)]
-    mask = vdofs >= 0
-    vel[mask] = state.v.reshape(-1, d)[vdofs[mask]]
-    sdofs = problem.sspace.g2l[np.arange(nv)]
-    mask = sdofs >= 0
-    disp[mask] = state.w.reshape(-1, d)[sdofs[mask]]
-    pdofs = problem.pspace.g2l[np.arange(nv)]
-    mask = pdofs >= 0
-    pres[mask] = state.q[pdofs[mask]]
-    meshmod.export_vtk(
-        mesh,
-        f"{cfg.vtk_prefix}_{n:06d}.vtk",
-        point_data={"velocity": vel, "displacement": disp, "pressure": pres},
-    )
+    point_data = {}
+    for name, space, u in (("velocity", problem.vspace, state.v),
+                           ("displacement", problem.sspace, state.w),
+                           ("pressure", problem.pspace, state.q)):
+        dofs = space.g2l[:nv]
+        mask = dofs >= 0
+        nodal = np.zeros((nv, space.ncomp))
+        nodal[mask] = u.reshape(space.nscalar, -1)[dofs[mask]]
+        point_data[name] = nodal if space.ncomp > 1 else nodal[:, 0]
+    meshmod.export_vtk(mesh, f"{cfg.vtk_prefix}_{n:06d}.vtk", point_data=point_data)

@@ -16,7 +16,7 @@ from sys import intern
 import numpy as np
 
 from . import kernels, mesh as meshmod
-from .errors import FitDomainError, PreconditionError
+from .errors import FitDomainError
 from .material import Pairs, remainder_bracket
 from .pointwise import aat_pairing, cm, frob, matvec, mul, mul_t, sym
 from .spaces import FieldSpace
@@ -156,7 +156,7 @@ def compute_report(problem, model, cfg, states):
         if j >= 2:
             # commutator remainder couplings r_{j-1}
             r = j - 1
-            rvec, r_nu = remainder(states, model, r, dt, (vol, surf))
+            rvec, r_nu = remainder(problem, model, r, (vol, surf))
             g[f"r{r}_vol_w{j + 1}"] = float(rvec @ w[j + 1])
             g[f"r{r}_surf_v"] = iface.integrate((r_nu * v_f[:, j]).sum(axis=0))
             g[f"r{r}_surf_lam"] = iface.integrate((r_nu * trac[j]).sum(axis=0))
@@ -190,35 +190,22 @@ def _div_functional(space, iface, delta_vol, delta_nu_facet):
     """Weak functional of div(delta): -<delta, D phi> + <delta nu, phi>_Gc, of
     the component-major delta (d, d, nc, nq) and delta nu (d, nfac, nqf)."""
     elem = kernels.elem_residual(delta_vol, space.gradt, space.wdet)
-    out = space.scatter_vector(-elem.reshape(len(elem), -1))
     surf = np.swapaxes(iface.wq[..., None] * iface.sval_cell, 1, 2) @ np.moveaxis(
         delta_nu_facet, 0, -1)
-    vdofs = iface.solid_cell_dofs[:, :, None] * space.ncomp + np.arange(space.ncomp)
-    np.add.at(out, vdofs.ravel(), np.ascontiguousarray(surf).ravel())
-    return out
+    dofs = np.concatenate([space.cell_vdofs.ravel(), space.cell_vdofs[iface.solid_cell].ravel()])
+    return np.bincount(dofs, np.concatenate([-elem.ravel(), surf.ravel()]),
+                       minlength=space.ndof)
 
 
-def remainder(states, model, j, dt, pairs=None):
+def remainder(problem, model, j, pairs):
     """Weak commutator remainder r_j and its interface trace r_{j,Gc}.
 
-    Needs discrete time derivatives of w up to order j + 1; returns the
-    functional over solid test functions and the facet-point values of the
-    bracketed tensor times nu, component-major (d, nfac, nqf).  A caller that
-    already holds the gradients of w^(0..j+1) passes their Pairs tables at
-    the solid and at the interface quadrature points as `pairs`; otherwise
-    they are computed from `states`.
+    `pairs` holds the Pairs tables of the gradients of w^(0..j+1) at the
+    solid and at the interface quadrature points.  Returns the functional
+    over solid test functions and the facet-point values of the bracketed
+    tensor times nu, component-major (d, nfac, nqf).
     """
-    st = states[-1]
-    problem = st.problem
     ss, iface = problem.sspace, problem.interface
-    if pairs is None:
-        fields = [st.w, st.wt, st.wtt]
-        if j == 2:
-            w3 = backward_difference([s.wtt for s in states], 1, dt)
-            if w3 is None:
-                raise PreconditionError("remainder at j=2 needs history depth >= 2")
-            fields.append(w3)
-        pairs = _levels(ss.gradients(fields)), _levels(iface.gradients("solid", fields))
     vol, surf = pairs
     delta = remainder_bracket(model, vol, j)
     r_nu = matvec(remainder_bracket(model, surf, j), iface.nu)
@@ -230,20 +217,15 @@ def ledger_remainder(Ee):
     return sum(Ee ** (k / 2) for k in range(3, 9))
 
 
-def interface_residual_values(state, model, gamma, surf=None, v_f=None):
+def interface_residual_values(state, model, gamma, surf, v_f):
     """Velocity-matching L2 residual and stress-matching dual-norm residual
     of the transmission conditions, with the elastic traction from w.
 
-    The report passes what it already holds: `surf`, Pairs whose field 0 is
-    the interface gradient of w, and `v_f`, the facet values (d, nfac, nqf)
-    of v; otherwise they are evaluated here.
+    `surf` is a Pairs table whose field 0 is the interface gradient of w,
+    and `v_f` holds the facet values (d, nfac, nqf) of v.
     """
     iface = state.problem.interface
     nu = iface.nu
-    if surf is None:
-        surf = _levels(iface.gradients("solid", [state.w]))
-    if v_f is None:
-        v_f = iface.values("fluid", [state.v])[:, 0]
     trac = matvec(model.pk1(surf), nu)
     vel = np.sqrt(iface.l2_norm_sq(iface.values("solid", [state.wt])[:, 0] - v_f + gamma * trac))
     Dv_f = iface.gradients("fluid", [state.v])[:, :, 0]
@@ -493,10 +475,10 @@ def multiplier_identity_residual(mesh, model, hat, H, rho, xi, interval, quad_de
     return float(res36), float(res37)
 
 
-def write_csv(path, reports):
-    """Write reports in the canonical column order; floats use shortest
-    round-trip formatting so identical runs emit identical bytes."""
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rep in reports:
-            fh.write(",".join(repr(float(x)) for x in rep.row()) + "\n")
+def write_csv(fh, reports):
+    """Write reports to the open text file `fh` in the canonical column order;
+    floats use shortest round-trip formatting so identical runs emit
+    identical bytes."""
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    for rep in reports:
+        fh.write(",".join(repr(float(x)) for x in rep.row()) + "\n")

@@ -32,18 +32,6 @@ def assemble_fluid_operator(kin, vspace, pspace):
             kernels.div_elements(kin.a, vspace.gradt, valp, vspace.wdet))
 
 
-def _outer_facet_tables(mesh, pspace):
-    """Quadrature and pressure-basis tables on the outer no-slip boundary:
-    local fluid cell (n,), weights (n, nq), normals (n, d) and pressure basis
-    values (n, nq, nloc) of each outer facet."""
-    idx = mesh.facet_indices(meshmod.OUTER)
-    cells = np.array([mesh.facet_cells[fi][0][0] for fi in idx], dtype=np.int64)
-    ci = np.searchsorted(pspace.cells, cells)
-    xq, wq = mesh.facet_quadrature(idx)
-    pvals, _ = pspace.basis_at(ci, xq)
-    return ci, wq, mesh.facet_normal[idx], pvals
-
-
 def solve_initial_pressure(problem, v0, w0, model):
     """Pressure at t = 0 from the elliptic problem driven by the initial
     velocity gradients, with the stress-matching Dirichlet datum on the
@@ -61,16 +49,20 @@ def solve_initial_pressure(problem, v0, w0, model):
     f = -frob(Dv, Dv.swapaxes(0, 1))
     valp = basis_values(d, pspace.degree, vspace.qp)
     load = np.einsum("cq,qp,cq->cp", vspace.wdet, valp, f)
-    b = np.zeros(pspace.nscalar)
-    np.add.at(b, pspace.cell_dofs.ravel(), load.ravel())
 
-    # outer boundary: weak Neumann datum  Dq . nu = (div D v0) . nu,
-    # with the Laplacian taken cellwise (piecewise constant for P2)
+    # outer boundary: weak Neumann datum  Dq . nu = (div D v0) . nu, with the
+    # Laplacian taken cellwise (piecewise constant for P2), on each outer
+    # facet's fluid cell ci
+    idx = mesh.facet_indices(meshmod.OUTER)
+    ci = np.searchsorted(pspace.cells, [mesh.facet_cells[fi][0][0] for fi in idx])
+    xq, wq = mesh.facet_quadrature(idx)
+    pvals, _ = pspace.basis_at(ci, xq)
+    nu = mesh.facet_normal[idx]
     lap = np.einsum("ckii->ck", vspace.hess_cells([v0])[:, 0])  # (nc, d)
-    for ci, wq, nu, pvals in zip(*problem.outer_tables):
-        g = lap[ci] @ nu
-        contrib = np.einsum("q,qp->p", wq * g, pvals)
-        np.add.at(b, pspace.cell_dofs[ci], contrib)
+    g = (lap[ci][:, None, :] @ nu[:, :, None])[:, 0, 0]
+    outer = np.einsum("fq,fqp->fp", wq * g[:, None], pvals)
+    b = np.bincount(np.concatenate([pspace.cell_dofs.ravel(), pspace.cell_dofs[ci].ravel()]),
+                    np.concatenate([load.ravel(), outer.ravel()]), minlength=pspace.nscalar)
 
     # interface Dirichlet datum at every facet vertex, averaged over the
     # facets that share the vertex

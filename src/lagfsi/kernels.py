@@ -9,14 +9,13 @@ component-major (see `pointwise`); shapes:
     a      (d, d, nc, nq)    inverse deformation gradient
     valp   (nq, np_)         pressure basis values
 
-Material kinds: 0 = linear-isotropic, 1 = Saint Venant-Kirchhoff.  The
-stress law is `material.StressLaw`, evaluated on Dw itself, so no identity
-is added to the gradient and subtracted again.
+The stress is the `material.MaterialModel`'s own law, evaluated on Dw
+itself, so no identity is added to the gradient and subtracted again.
 """
 
 import numpy as np
 
-from .material import Pairs, StressLaw
+from .material import Pairs
 from .pointwise import cofactor3
 
 BACKEND = "python"  # reported as lagfsi.kernel_backend
@@ -44,9 +43,9 @@ def inv_det(F):
     return inv, det
 
 
-def pk1(Dw, lam, mu, kind):
-    """First derivative of the stored energy at F = I + Dw."""
-    return StressLaw(lam, mu, kind).pk1(Pairs([Dw]))
+def pk1(Dw, model):
+    """First derivative of the stored energy of `model` at F = I + Dw."""
+    return model.pk1(Pairs([Dw]))
 
 
 # The d x d products at the points batch over the point axes (cell, point),

@@ -30,7 +30,9 @@ from .pointwise import frob, matvec, mul, pair, sym, tr
 GAUSS2_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
 GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 
-KINDS = {"linear-isotropic": 0, "saint-venant-kirchhoff": 1}
+# kind name -> whether its strain is the Green strain E = (F^T F - I)/2
+# (otherwise sym Dw)
+KINDS = {"linear-isotropic": False, "saint-venant-kirchhoff": True}
 
 # the derivative chain check: random states near the identity, their seed,
 # and the central-difference step
@@ -64,16 +66,33 @@ class Pairs:
         return self._s[key]
 
 
-class StressLaw:
-    """The isotropic law of one model on `Pairs` tables: psi'', the tensor c,
-    the strain, the stress S = c(E) and DW = F S; F = I + scale Dw with Dw
-    the table's field 0.  The assembly kernels use it with their own Lame
-    parameters, `MaterialModel` adds the higher derivatives."""
+class MaterialModel:
+    """Stored-energy function of one isotropic law with derivative evaluators
+    up to order 4: psi'', the tensor c, the strain, the stress S = c(E),
+    DW = F S and the higher derivatives.
 
-    def __init__(self, lam, mu, svk):
+    The forms act on `Pairs` tables: index 0 is the base displacement
+    gradient, F = I + scale Dw, and the other indices are the directions.
+
+    Parameters
+    ----------
+    kind : str
+        A name of `KINDS`: 'saint-venant-kirchhoff' or 'linear-isotropic'.
+    lam, mu : float
+        Lame parameters; lam >= 0 and mu > 0 keep the identity elliptic.
+    """
+
+    def __init__(self, kind, lam=1.0, mu=1.0):
+        if kind not in KINDS:
+            raise ConfigError(f"unknown material kind {kind!r}")
+        if mu <= 0 or lam < 0:
+            raise ConfigError("material requires mu > 0 and lambda >= 0")
+        self.kind = kind
         self.lam = float(lam)
         self.mu = float(mu)
-        self._svk = svk
+        self.svk = KINDS[kind]
+
+    # -- the law on pairs (component-major) ----------------------------------------
 
     def psi2(self, X, Y):
         """psi''(X, Y) = lam tr X tr Y + 2 mu X : Y."""
@@ -89,12 +108,12 @@ class StressLaw:
 
     def _sF(self, p, a, scale):
         """s(F, X_a); sym X_a for the linear model."""
-        return p.sym(a) + scale * p.s(0, a) if self._svk else p.sym(a)
+        return p.sym(a) + scale * p.s(0, a) if self.svk else p.sym(a)
 
     def strain(self, p, scale=1.0):
         """E(F): sym Dw + s(Dw, Dw) / 2, or sym Dw for the linear model."""
         E = scale * p.sym(0)
-        return E + 0.5 * scale**2 * p.s(0, 0) if self._svk else E
+        return E + 0.5 * scale**2 * p.s(0, 0) if self.svk else E
 
     def stress(self, p):
         """S(F) = c(E(F))."""
@@ -103,7 +122,7 @@ class StressLaw:
     def pk1(self, p):
         """DW(F) = F S(F); S for the linear model."""
         S = self.stress(p)
-        return S + mul(p.X[0], S) if self._svk else S
+        return S + mul(p.X[0], S) if self.svk else S
 
     def tangent_remainder(self, p, a, S):
         """l_{X_a} (D^2W(F) - D^2W(I)) at F = I + Dw with S = S(F): the
@@ -111,46 +130,23 @@ class StressLaw:
         identity-state part c(sym X_a), formed as c(s(Dw, X_a)) +
         Dw c(s(F, X_a)) + X_a S so that nothing cancels.  Exactly zero at
         Dw = 0, and for the linear model."""
-        if not self._svk:
+        if not self.svk:
             return np.zeros_like(p.X[a])
         C = self.c(p.s(0, a))
         return C + mul(p.X[0], C + self.c(p.sym(a))) + mul(p.X[a], S)
-
-
-class MaterialModel(StressLaw):
-    """Stored-energy function with derivative evaluators up to order 4.
-
-    The forms act on `Pairs` tables: index 0 is the base displacement
-    gradient, F = I + scale Dw, and the other indices are the directions.
-
-    Parameters
-    ----------
-    kind : str
-        'saint-venant-kirchhoff' or 'linear-isotropic'.
-    lam, mu : float
-        Lame parameters; lam >= 0 and mu > 0 keep the identity elliptic.
-    """
-
-    def __init__(self, kind, lam=1.0, mu=1.0):
-        if kind not in KINDS:
-            raise ConfigError(f"unknown material kind {kind!r}")
-        if mu <= 0 or lam < 0:
-            raise ConfigError("material requires mu > 0 and lambda >= 0")
-        super().__init__(lam, mu, KINDS[kind])
-        self.kind = kind
 
     # -- the derivative forms on pairs (component-major) -------------------------
 
     def form2(self, p, a, b, scale=1.0):
         """D^2W(F)(X_a, X_b) = psi''(s(F,X_a), s(F,X_b)) + S(F) : s(X_a, X_b)."""
         out = self.psi2(self._sF(p, a, scale), self._sF(p, b, scale))
-        if self._svk:
+        if self.svk:
             out = out + self.psi2(self.strain(p, scale), p.s(a, b))
         return out
 
     def form3(self, p, a, b, c, scale=1.0):
         """D^3W(F)(X_a, X_b, X_c), a sum of psi'' over the three pairings."""
-        if not self._svk:
+        if not self.svk:
             return np.zeros(p.X[0].shape[2:])
         psi, s = self.psi2, p.s
         return (psi(s(a, b), self._sF(p, c, scale)) + psi(s(a, c), self._sF(p, b, scale))
@@ -159,11 +155,11 @@ class MaterialModel(StressLaw):
     def contract2(self, p, a):
         """Matrix l_{X_a} D^2W(F) = F c(s(F, X_a)) + X_a S(F), F = I + Dw."""
         C = self.c(p.sym(a))
-        return C + self.tangent_remainder(p, a, self.stress(p)) if self._svk else C
+        return C + self.tangent_remainder(p, a, self.stress(p)) if self.svk else C
 
     def contract3(self, p, a, b):
         """Matrix l_{X_b} l_{X_a} D^3W(F), F = I + Dw."""
-        if not self._svk:
+        if not self.svk:
             return np.zeros(p.X[0].shape)
         Cab = self.c(p.s(a, b))
         return (mul(p.X[b], self.c(self._sF(p, a, 1.0))) + Cab + mul(p.X[0], Cab)
@@ -171,7 +167,7 @@ class MaterialModel(StressLaw):
 
     def contract4(self, p, a, b, c):
         """Matrix l_{X_c} l_{X_b} l_{X_a} D^4W (independent of F)."""
-        if not self._svk:
+        if not self.svk:
             return np.zeros(p.X[0].shape)
         X, s = p.X, p.s
         return mul(X[b], self.c(s(c, a))) + mul(X[c], self.c(s(b, a))) + mul(X[a], self.c(s(c, b)))

@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import SolverError
-from .material import KINDS, Pairs
+from .material import Pairs
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +26,7 @@ NEWMARK_GAMMA = 0.5
 def internal_force(model, space, w):
     """Assembled <DW(Dw + I), D phi> over the solid."""
     Dw = space.gradients([w])[:, :, 0]
-    P = kernels.pk1(Dw, model.lam, model.mu, KINDS[model.kind])
+    P = kernels.pk1(Dw, model)
     elem = kernels.elem_residual(P, space.gradt, space.wdet)
     return space.scatter_vector(elem.reshape(len(space.cells), -1))
 
@@ -74,16 +74,13 @@ class StiffnessRemainder:
 def stiffness_remainder(model, space, w):
     """StiffnessRemainder at w; None for the linear model, whose stiffness is
     K(0) at every w."""
-    return StiffnessRemainder(model, space, w) if KINDS[model.kind] else None
+    return StiffnessRemainder(model, space, w) if model.svk else None
 
 
-def solid_residual(model, space, mass, w, w_tt, load=None):
+def solid_residual(model, space, mass, w, w_tt, load):
     """Weak residual: M w_tt + F_int(w) + M w - load, where `load` is the
     assembled interface traction functional (e.g. C_s @ lambda)."""
-    R = mass @ (np.asarray(w_tt) + np.asarray(w)) + internal_force(model, space, w)
-    if load is not None:
-        R -= load
-    return R
+    return mass @ (np.asarray(w_tt) + np.asarray(w)) + internal_force(model, space, w) - load
 
 
 def newmark_rate_factor(dt):

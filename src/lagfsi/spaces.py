@@ -261,9 +261,7 @@ class FieldSpace:
 
     def scatter_vector(self, elem):
         """Assemble element vectors (ncr, nloc*ncomp) into a global vector."""
-        out = np.zeros(self.ndof)
-        np.add.at(out, self.cell_vdofs.ravel(), elem.ravel())
-        return out
+        return np.bincount(self.cell_vdofs.ravel(), elem.ravel(), minlength=self.ndof)
 
     def _mass_elements(self):
         return np.swapaxes(self.wdet[:, :, None] * self.val, 1, 2) @ self.val
@@ -414,10 +412,8 @@ class InterfaceData:
     def functional(self, values_qp):
         """Trace-space dual vector of samples (ncomp, nfac, nqf)."""
         elem = np.moveaxis((self.wq * values_qp) @ self.fval, 0, -1)   # (nfac, nloc, ncomp)
-        out = np.zeros(self.nlam)
         vdofs = self.facet_trace[:, :, None] * self.ncomp + np.arange(self.ncomp)
-        np.add.at(out, vdofs.ravel(), elem.ravel())
-        return out
+        return np.bincount(vdofs.ravel(), elem.ravel(), minlength=self.nlam)
 
     def project(self, values_qp):
         """L2(interface) projection of qp samples onto the trace space."""

@@ -23,6 +23,7 @@ from lagfsi.material import make_material
 from lagfsi.mesh import build_annular_mesh
 
 from oracle_fem import DenseStep, make_tiny_mesh
+from test_diagnostics import remainder_pairs
 from test_material import (
     d2_contract, d3_contract, d4_contract, energy_density, piola_stress, pm, stress_rates,
 )
@@ -244,7 +245,8 @@ def test_criterion_8_equilibrium_and_degenerate():
     rep_lin, state_lin = _standard_run(1.0, 1e-2, 0.05, material_kind=LIN)
     ok &= state_lin.newton_info["iterations"] == 1
     lin = make_material(LIN, 1.0, 1.0)
-    rvec, rsurf = remainder(state_lin.past(), lin, 1, 1e-2)
+    rvec, rsurf = remainder(state_lin.problem, lin, 1, remainder_pairs(
+        state_lin.problem, [state_lin.w, state_lin.wt, state_lin.wtt]))
     r1_zero = max(np.abs(rvec).max(), np.abs(rsurf).max())
     ok &= r1_zero == 0.0
     _report(8, ok, f"zero data: 200 steps, max |column| = {worst:.1e} (<= 1e-14); "

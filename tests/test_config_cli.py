@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lagfsi import cli, initial_data, material
+from lagfsi import cli, coupling, initial_data, material
 from lagfsi.config import RunConfig, parse_config
-from lagfsi.errors import ConfigError, PreconditionError
+from lagfsi.errors import ConfigError, MeshDegenerationError, PreconditionError, SolverError
 
 
 def test_defaults():
@@ -206,6 +206,69 @@ def test_cli_dt_study(tmp_path, capsys):
     assert "order_j0" in out
     summary = (tmp_path / "study_dtstudy_summary.txt").read_text().splitlines()
     assert len(summary) == 3
+
+
+@pytest.mark.parametrize("kind,setting,summary,header", [
+    ("gamma-sweep", "sweep.gamma = 0,1", "sweep", "gamma sigma_X R2_X sigma_V0e R2_V0e"),
+    ("dt-study", "sweep.dt = 0.02,0.01", "dtstudy", "dt res_j0 res_j1 order_j0 order_j1"),
+])
+def test_cli_study_summaries_hold_plain_numbers(tmp_path, kind, setting, summary, header):
+    # every field of a summary parses as a float: no NumPy reprs
+    path = _write(tmp_path, "s.cfg",
+                  f"resolution = 4\nt_end = 0.2\nidentity.window_start = 0.05\n"
+                  f"experiment.kind = {kind}\n{setting}\noutput.csv = {tmp_path / 'x.csv'}\n")
+    assert cli.main(["run", path]) == 0
+    lines = (tmp_path / f"x_{summary}_summary.txt").read_text().splitlines()
+    assert lines[0] == header and len(lines) == 3
+    for line in lines[1:]:
+        fields = line.split()
+        assert len(fields) == 5
+        values = [float(tok) for tok in fields]
+        assert all(np.isfinite(values[:3])), line
+
+
+def _failing_run(tmp_path, csv):
+    """The config file of a 2-D res 4 run of 100 steps that writes `csv`."""
+    return _write(tmp_path, "f.cfg", f"resolution = 4\ndt = 1e-3\nt_end = 0.1\noutput.csv = {csv}\n")
+
+
+def test_cli_unwritable_csv_exits_4_before_any_step(tmp_path, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(coupling, "coupled_step", lambda *a, **k: steps.append(a))
+    path = _failing_run(tmp_path, tmp_path / "missing" / "run.csv")
+    assert cli.main(["run", path]) == 4
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert steps == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_solver_failure_exits_2_and_leaves_an_empty_csv(tmp_path, capsys, monkeypatch):
+    # the step fails, and so does the first half of its dt/2 retry
+    steps = []
+
+    def failing_step(state, cfg, model, step_index=0):
+        steps.append(step_index)
+        raise SolverError("injected failure")
+
+    monkeypatch.setattr(coupling, "coupled_step", failing_step)
+    csv = tmp_path / "run.csv"
+    assert cli.main(["run", _failing_run(tmp_path, csv)]) == 2
+    assert capsys.readouterr().err.startswith("solver error: injected failure")
+    assert steps == [1, "1_half1"]
+    assert csv.read_bytes() == b""
+    assert not (tmp_path / "run.csv.config").exists()
+
+
+def test_cli_mesh_degeneration_exits_3_and_leaves_an_empty_csv(tmp_path, capsys, monkeypatch):
+    def degenerate(kin, v, dt):
+        raise MeshDegenerationError("injected degeneration")
+
+    monkeypatch.setattr(coupling, "advance_flow_map", degenerate)
+    csv = tmp_path / "run.csv"
+    assert cli.main(["run", _failing_run(tmp_path, csv)]) == 3
+    assert capsys.readouterr().err.startswith("mesh degeneration: injected degeneration")
+    assert csv.read_bytes() == b""
+    assert not (tmp_path / "run.csv.config").exists()
 
 
 def test_cli_check_identities(tmp_path, capsys):

@@ -73,6 +73,13 @@ def _zero_state(problem, model):
                          problem.sspace.zeros(), problem.sspace.zeros())
 
 
+def remainder_pairs(problem, fields):
+    """The Pairs tables of the gradients of `fields` (w^(0..j+1)) at the solid
+    and at the interface quadrature points, as `remainder` takes them."""
+    grads = problem.sspace.gradients(fields), problem.interface.gradients("solid", fields)
+    return tuple(Pairs(np.moveaxis(g, 2, 0)) for g in grads)
+
+
 def _report(problem, model, states, gamma=1.0):
     return compute_report(problem, model, RunConfig(gamma=gamma, dt=1e-2), states)
 
@@ -236,10 +243,11 @@ def test_remainder_linear_model_zero(problem):
     rng = np.random.default_rng(2)
     state.wt = 1e-2 * rng.standard_normal(prob.sspace.ndof)
     state.wtt = 1e-2 * rng.standard_normal(prob.sspace.ndof)
-    rvec, rsurf = remainder([state], lin, 1, 1e-2)
+    pairs = remainder_pairs(prob, [state.w, state.wt, state.wtt])
+    rvec, rsurf = remainder(prob, lin, 1, pairs)
     assert np.abs(rvec).max() == 0.0 and np.abs(rsurf).max() == 0.0
     svk = make_material(SVK, 1.0, 1.0)
-    rvec, rsurf = remainder([state], svk, 1, 1e-2)
+    rvec, rsurf = remainder(prob, svk, 1, pairs)
     assert np.abs(rvec).max() > 0
 
 
@@ -353,7 +361,8 @@ def test_csv_roundtrip(tmp_path):
     model = cfg.make_material()
     reports, _ = run_simulation(cfg.coupling_config(), cfg.make_initial_data(), model, mesh)
     path = tmp_path / "out.csv"
-    write_csv(path, reports)
+    with open(path, "w") as fh:
+        write_csv(fh, reports)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(reports) + 1
@@ -460,7 +469,8 @@ def test_report_contractions_match_einsum(problem, run60):
     g = compute_report(st.problem, model, cfg.coupling_config(), states).integrands
     w3 = backward_difference([s.wtt for s in states], 1, dt)
     for j, w_top in ((1, st.wtt), (2, w3)):
-        _, r_nu = remainder(states, model, j, dt)
+        _, r_nu = remainder(st.problem, model, j,
+                            remainder_pairs(st.problem, [st.w, st.wt, st.wtt, w3][:j + 2]))
         v_top = backward_difference([s.v for s in states], j + 1, dt)
         surf = Pairs(np.moveaxis(iface.gradients("solid", [st.w, w_top]), 2, 0))
         trac = model.linearized_traction(surf, 1, iface.nu)

@@ -20,7 +20,7 @@ import pytest
 
 from lagfsi import kernels, pointwise
 from lagfsi.coupling import CoupledProblem
-from lagfsi.material import KINDS, Pairs, StressLaw, make_material
+from lagfsi.material import KINDS, Pairs, make_material
 from lagfsi.mesh import FLUID, SOLID, build_annular_mesh
 from lagfsi.pointwise import cm
 from lagfsi.solid import (
@@ -62,11 +62,17 @@ def test_inv_det_roundtrip():
         assert np.abs(det - np.linalg.det(F)).max() < 1e-12
 
 
+def _model(kind):
+    """The material of kind 0 (linear-isotropic) or 1 (Saint Venant-Kirchhoff)
+    at lam = 1.3, mu = 0.8."""
+    return make_material(("linear-isotropic", "saint-venant-kirchhoff")[kind], 1.3, 0.8)
+
+
 def _product(F, G, w, U, kind):
     """The element tangent of material `kind` at F applied to nodal values U
     (nc, na, d): the identity-state elem_tangent contracted with U, plus the
     pointwise remainder of the law along the gradient U moves F by."""
-    law = StressLaw(1.3, 0.8, kind)
+    law = _model(kind)
     Dw = grad(F)
     K0 = kernels.elem_tangent(table(G), w, 1.3, 0.8)
     H = cm(np.einsum("cbj,cqbe->cqje", U, G))
@@ -85,8 +91,8 @@ def test_tangent_is_residual_derivative(d, kind):
     KU = _product(F, G, w, U, kind)
 
     def central(h):
-        Rp = kernels.elem_residual(kernels.pk1(grad(F + h * dF), 1.3, 0.8, kind), table(G), w)
-        Rm = kernels.elem_residual(kernels.pk1(grad(F - h * dF), 1.3, 0.8, kind), table(G), w)
+        Rp = kernels.elem_residual(kernels.pk1(grad(F + h * dF), _model(kind)), table(G), w)
+        Rm = kernels.elem_residual(kernels.pk1(grad(F - h * dF), _model(kind)), table(G), w)
         return np.abs((Rp - Rm) / (2 * h) - KU).max() / np.abs(KU).max()
 
     if kind == 0:  # linear stress: the difference quotient is exact
@@ -200,7 +206,7 @@ def test_assembly_kernels_match_einsum(d):
     assert _close(kernels.div_elements(a, table(G), valp, w),
                   _ref_div_elements(pm(a), G, valp, w))
     for kind in (0, 1):
-        P = kernels.pk1(grad(F), 1.3, 0.8, kind)
+        P = kernels.pk1(grad(F), _model(kind))
         assert _close(pm(P), _ref_pk1(F, 1.3, 0.8, kind))
         assert _close(kernels.elem_residual(P, table(G), w), _ref_elem_residual(pm(P), G, w))
 

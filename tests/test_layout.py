@@ -16,6 +16,10 @@ reference cycles (through its methods' globals and its own `__mro__` /
 `__dict__`), so whatever its instances hold outlives the call until the
 cyclic collector runs.
 
+No element sum goes through a ufunc's `.at` method (`np.add.at` and
+the like): every element-to-dof sum is an `np.bincount` on an index array,
+the one primitive the matrix sums use too.
+
 Every library name the benchmark's tracer (`perfbench/tracer.py`) patches
 still exists, so a rename shows here and not only in the benchmark's own
 tests.
@@ -203,6 +207,30 @@ def test_guard_flags_a_class_in_a_function(tmp_path):
         "    return g\n"
     )
     assert nested_classes(tmp_path) == ["mod:10", "mod:3"]
+
+
+def ufunc_at_calls(src=SRC):
+    """module:line of every call of an `.at` method, such as np.add.at."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "at"]
+    return sorted(out)
+
+
+def test_no_ufunc_at_call():
+    assert ufunc_at_calls() == []
+
+
+def test_guard_flags_a_ufunc_at_call(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\nfrom numpy import maximum\n\n\n"
+        "def f(out, i, x):\n    np.add.at(out, i, x)\n    maximum.at(out, i, x)\n"
+        "    return np.bincount(i, x, minlength=len(out)), out.at\n"
+    )
+    assert ufunc_at_calls(tmp_path) == ["mod:6", "mod:7"]
 
 
 def test_benchmark_traced_names_resolve():

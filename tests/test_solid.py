@@ -54,7 +54,7 @@ def test_equilibrium_residual(tiny):
     problem, model = tiny
     ss = problem.sspace
     z = ss.zeros()
-    R = solid_residual(model, ss, problem.M_solid, z, z)
+    R = solid_residual(model, ss, problem.M_solid, z, z, z)
     assert np.abs(R).max() == 0.0
 
 
@@ -82,7 +82,7 @@ def test_static_pressure_load_linear(tiny):
     vdofs = iface.solid_cell_dofs[:, :, None] * 2 + np.arange(2)
     np.add.at(rhs, vdofs.ravel(), elem.ravel())
     w = np.linalg.solve(K, rhs)
-    R = solid_residual(lin, ss, problem.M_solid, w, ss.zeros(), load=rhs)
+    R = solid_residual(lin, ss, problem.M_solid, w, ss.zeros(), rhs)
     assert np.abs(R).max() < 1e-12
 
 
@@ -93,8 +93,8 @@ def test_linear_scaling(tiny):
     rng = np.random.default_rng(0)
     w = 1e-2 * rng.standard_normal(ss.ndof)
     wtt = 1e-2 * rng.standard_normal(ss.ndof)
-    R1 = solid_residual(lin, ss, problem.M_solid, w, wtt)
-    R3 = solid_residual(lin, ss, problem.M_solid, 3 * w, 3 * wtt)
+    R1 = solid_residual(lin, ss, problem.M_solid, w, wtt, ss.zeros())
+    R3 = solid_residual(lin, ss, problem.M_solid, 3 * w, 3 * wtt, ss.zeros())
     assert np.allclose(R3, 3 * R1, atol=1e-14)
 
 
@@ -157,7 +157,7 @@ def test_newton_zero_data(tiny):
     ss = problem.sspace
 
     def residual(u):
-        return solid_residual(model, ss, problem.M_solid, u, ss.zeros())
+        return solid_residual(model, ss, problem.M_solid, u, ss.zeros(), ss.zeros())
 
     def tangent(u):
         return stiffness_operator(model, ss, u, problem.M_solid)
