@@ -33,11 +33,6 @@ def _load_config(path):
     return parse_config(text)
 
 
-def _echo_config(cfg, out_path):
-    with open(out_path + ".config", "w") as fh:
-        fh.write(cfg.echo())
-
-
 def cmd_mesh_info(cfg, args):
     mesh = cfg.make_mesh()
     nf = int((mesh.region == meshmod.FLUID).sum())
@@ -136,15 +131,14 @@ def cmd_fit_decay(args):
     return 0
 
 
-def _single_run(cfg, args, **overrides):
-    """The reports of one run of `cfg` with the command-line flags and
-    `overrides` applied."""
-    mesh = cfg.make_mesh()
-    model = cfg.make_material()
-    init = cfg.make_initial_data()
-    run_cfg = cfg.coupling_config(allow_large=args.allow_large,
-                                  dump_systems=args.dump_systems, **overrides)
-    reports, _ = run_simulation(run_cfg, init, model, mesh)
+def _single_run(cfg, args):
+    """The reports of one run of `cfg` with the command-line flags applied;
+    a run that ends echoes `cfg` next to its CSV, where it reruns that run."""
+    run_cfg = cfg.coupling_config(allow_large=args.allow_large, dump_systems=args.dump_systems)
+    reports, _ = run_simulation(run_cfg, cfg.make_initial_data(), cfg.make_material(),
+                                cfg.make_mesh())
+    with open(cfg.output_csv + ".config", "w") as fh:
+        fh.write(cfg.echo())
     return reports
 
 
@@ -157,9 +151,9 @@ def _decay_fits(cfg, reports):
         try:
             _, sigma, r2 = fit_decay_rate(series, window=(cfg.t_end / 2, cfg.t_end))
         except FitDomainError:
-            vals = np.array([x for _, x in series], dtype=float)
-            # an identically zero trajectory reads 0, any other unfittable one NaN
-            sigma = r2 = 0.0 if np.nanmax(np.abs(vals), initial=0.0) == 0.0 else float("nan")
+            vals = [x for _, x in series if not np.isnan(x)]
+            # a series whose numbers are all 0 reads 0; any other, all-NaN included, NaN
+            sigma = r2 = 0.0 if vals and not any(vals) else float("nan")
         out += [sigma, r2]
     return out
 
@@ -183,19 +177,18 @@ def cmd_run(cfg, args):
     kind = cfg.experiment_kind
     if kind == "single":
         reports = _single_run(cfg, args)
-        _echo_config(cfg, cfg.output_csv)
         print(f"wrote {cfg.output_csv} ({len(reports)} reports)")
         return 0
     if kind not in _STUDIES:
         raise ConfigError(f"unhandled experiment kind {kind!r}")
     key, name, header, summarize = _STUDIES[kind]
-    base = cfg.output_csv.rsplit(".csv", 1)[0]
+    base = cfg.output_base()
     rows = []
     for x in getattr(cfg, f"sweep_{key}"):
-        path = f"{base}_{key}{x:g}.csv"
-        reports = _single_run(cfg, args, output_csv=path, **{key: x})
-        _echo_config(cfg, path)
-        row = [x, *summarize(cfg, reports)]
+        # each study run is a single run of its own config, echoed as such
+        run = cfg.coupling_config(experiment_kind="single", output_csv=f"{base}_{key}{x:g}.csv",
+                                  **{key: x})
+        row = [x, *summarize(run, _single_run(run, args))]
         if kind == "dt-study":
             # observed orders of res_j0 and res_j1 from the previous dt
             prev = rows[-1] if rows else None

@@ -89,9 +89,7 @@ class RunConfig:
     seed: int = 0
     # set by command-line flags and library callers; no config key
     allow_large: bool = False  # skip the smallness screen on the initial data
-    vtk_prefix: str = "state"
     dump_systems: bool = False
-    dump_prefix: str = "system"
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -109,6 +107,11 @@ class RunConfig:
                 val = ",".join(repr(x) for x in val)
             lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
+
+    def output_base(self):
+        """The CSV path without its .csv suffix: the stem of the run's VTK
+        snapshots, system dumps and study files."""
+        return self.output_csv.rsplit(".csv", 1)[0]
 
     # -- factories --------------------------------------------------------------
 

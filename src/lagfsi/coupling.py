@@ -211,11 +211,12 @@ class CoupledState:
         return self._cache["q_qp"]
 
 
-def initial_state(problem, cfg, model, v0, w0, w1):
+def initial_state(problem, cfg, v0, w0, w1):
     """Assemble the t = 0 state: initial pressure, consistent acceleration
     and the projected elastic traction as the initial interface field."""
     vs, ss = problem.vspace, problem.sspace
     iface = problem.interface
+    model = problem.model
     norms = [
         np.sqrt(vs.l2_norm_sq(v0)),
         np.sqrt(ss.l2_norm_sq(w0)),
@@ -227,7 +228,7 @@ def initial_state(problem, cfg, model, v0, w0, w1):
             "pass --allow-large to override"
         )
     kin = KinematicState.initial(vs, iface)
-    q0 = fluidmod.solve_initial_pressure(problem, v0, w0, model)
+    q0 = fluidmod.solve_initial_pressure(problem, v0, w0)
     Dw = iface.gradients("solid", [w0])[:, :, 0]
     lam0 = iface.project(matvec(model.pk1(Pairs([Dw])), iface.nu))
     rhs = iface.C_solid @ lam0 - solidmod.internal_force(model, ss, w0) - problem.M_solid @ w0
@@ -239,7 +240,7 @@ def initial_state(problem, cfg, model, v0, w0, w1):
 
 
 def _dump_system(cfg, step, iteration, J, rhs):
-    path = f"{cfg.dump_prefix}_step{step}_it{iteration}.txt"
+    path = f"{cfg.output_base()}_system_step{step}_it{iteration}.txt"
     Jc = J.tocoo()
     with open(path, "w") as fh:
         fh.write(f"# {J.shape[0]} x {J.shape[1]}, nnz {Jc.nnz}\n")
@@ -250,7 +251,7 @@ def _dump_system(cfg, step, iteration, J, rhs):
             fh.write(f"{i} {float(val)!r}\n")
 
 
-def coupled_step(state, cfg, model, step_index=0):
+def coupled_step(state, cfg, step_index=0):
     """Advance the coupled system one implicit step by monolithic Newton.
 
     The fluid coefficients a a^T are frozen at the current flow map; the
@@ -258,6 +259,7 @@ def coupled_step(state, cfg, model, step_index=0):
     `step_index` labels the step in its log line and system dump files.
     """
     problem = state.problem
+    model = problem.model
     vs, ps, ss = problem.vspace, problem.pspace, problem.sspace
     iface = problem.interface
     dt = cfg.dt
@@ -328,43 +330,45 @@ def run_simulation(cfg, init, model, mesh):
     Returns (reports, final_state).  When cfg.output_csv is set, the CSV is
     opened before any work is done, so an unwritable path fails first, and
     its rows are written after the last step; a run that fails leaves it
-    empty.
+    empty.  VTK snapshots and system dumps are named from the CSV's base.
     """
+    if (cfg.output_vtk_every or cfg.dump_systems) and not cfg.output_csv:
+        raise PreconditionError("VTK snapshots and system dumps are named from output_csv")
     with open(cfg.output_csv, "w") if cfg.output_csv else contextlib.nullcontext() as csv:
         problem = CoupledProblem(mesh, model)
         if hasattr(init, "build"):
             v0, w0, w1 = init.build(problem)
         else:
             v0, w0, w1 = init
-        state = initial_state(problem, cfg, model, v0, w0, w1)
-        recorder = diagnostics.TrajectoryRecorder(problem, model, cfg)
+        state = initial_state(problem, cfg, v0, w0, w1)
+        recorder = diagnostics.TrajectoryRecorder(cfg)
         recorder.add(state)
 
         nsteps = int(round(cfg.t_end / cfg.dt))
         for n in range(1, nsteps + 1):
             try:
-                new = coupled_step(state, cfg, model, step_index=n)
+                new = coupled_step(state, cfg, step_index=n)
             except SolverError as exc:
                 log.warning("step %d failed (%s); retrying with dt/2", n, exc)
                 new = None
             # retry outside the handler: the exception's frames hold the
             # failed solve's tangent and factor
-            state = new if new is not None else _retry_halved(state, cfg, model, n)
+            state = new if new is not None else _retry_halved(state, cfg, n)
             recorder.add(state)
             if cfg.output_vtk_every and n % cfg.output_vtk_every == 0:
-                _export_state(cfg, problem, state, n)
+                _export_state(cfg, state, n)
 
         if csv is not None:
             diagnostics.write_csv(csv, recorder.reports)
     return recorder.reports, state
 
 
-def _retry_halved(state, cfg, model, n):
+def _retry_halved(state, cfg, n):
     """Step n as two steps of dt/2.  The result's newton_info is flagged
     `retried` and counts the factorizations and GMRES iterations of both."""
     half = replace(cfg, dt=cfg.dt / 2)
-    mid = coupled_step(state, half, model, step_index=f"{n}_half1")
-    new = coupled_step(mid, half, model, step_index=f"{n}_half2")
+    mid = coupled_step(state, half, step_index=f"{n}_half1")
+    new = coupled_step(mid, half, step_index=f"{n}_half2")
     # the diagnostics difference the ring with cfg.dt: keep it spaced by dt,
     # without the half-step state
     new.history = state.next_history()
@@ -377,7 +381,8 @@ def _retry_halved(state, cfg, model, n):
     return new
 
 
-def _export_state(cfg, problem, state, n):
+def _export_state(cfg, state, n):
+    problem = state.problem
     mesh = problem.mesh
     nv = len(mesh.vertices)
     point_data = {}
@@ -389,4 +394,4 @@ def _export_state(cfg, problem, state, n):
         nodal = np.zeros((nv, space.ncomp))
         nodal[mask] = u.reshape(space.nscalar, -1)[dofs[mask]]
         point_data[name] = nodal if space.ncomp > 1 else nodal[:, 0]
-    meshmod.export_vtk(mesh, f"{cfg.vtk_prefix}_{n:06d}.vtk", point_data=point_data)
+    meshmod.export_vtk(mesh, f"{cfg.output_base()}_{n:06d}.vtk", point_data=point_data)

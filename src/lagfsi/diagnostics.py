@@ -84,7 +84,7 @@ def coefficient_rate_terms(space, aaT_t, a_t, q, q_t, Dv, Dv1):
     return ra, rb, rc
 
 
-def compute_report(problem, model, cfg, states):
+def compute_report(cfg, states):
     """Build the EnergyReport for the newest state in `states` (oldest first).
 
     Each time derivative the ring supports, w^(0..4), v^(0..3) and
@@ -95,6 +95,8 @@ def compute_report(problem, model, cfg, states):
     balance integrand.
     """
     st = states[-1]
+    problem = st.problem
+    model = problem.model
     dt = cfg.dt
     gamma = cfg.gamma
     vs, ss = problem.vspace, problem.sspace
@@ -156,7 +158,7 @@ def compute_report(problem, model, cfg, states):
         if j >= 2:
             # commutator remainder couplings r_{j-1}
             r = j - 1
-            rvec, r_nu = remainder(problem, model, r, (vol, surf))
+            rvec, r_nu = remainder(problem, r, (vol, surf))
             g[f"r{r}_vol_w{j + 1}"] = float(rvec @ w[j + 1])
             g[f"r{r}_surf_v"] = iface.integrate((r_nu * v_f[:, j]).sum(axis=0))
             g[f"r{r}_surf_lam"] = iface.integrate((r_nu * trac[j]).sum(axis=0))
@@ -179,8 +181,7 @@ def compute_report(problem, model, cfg, states):
         g["gradsq1"], g["gradsq2"] = gradsq[1], gradsq[2]
         rep.X = rep.Q + cfg.epsilon1 * (gradsq[0] + gradsq[1] + gradsq[2])
 
-    rep.iface_vel, rep.iface_stress = interface_residual_values(st, model, gamma, surf,
-                                                                v_f[:, 0])
+    rep.iface_vel, rep.iface_stress = interface_residual_values(st, gamma, surf, v_f[:, 0])
     # one copy of each formatted key for all the reports a run keeps
     rep.integrands = {intern(k): x for k, x in g.items()}
     return rep
@@ -197,7 +198,7 @@ def _div_functional(space, iface, delta_vol, delta_nu_facet):
                        minlength=space.ndof)
 
 
-def remainder(problem, model, j, pairs):
+def remainder(problem, j, pairs):
     """Weak commutator remainder r_j and its interface trace r_{j,Gc}.
 
     `pairs` holds the Pairs tables of the gradients of w^(0..j+1) at the
@@ -207,8 +208,8 @@ def remainder(problem, model, j, pairs):
     """
     ss, iface = problem.sspace, problem.interface
     vol, surf = pairs
-    delta = remainder_bracket(model, vol, j)
-    r_nu = matvec(remainder_bracket(model, surf, j), iface.nu)
+    delta = remainder_bracket(problem.model, vol, j)
+    r_nu = matvec(remainder_bracket(problem.model, surf, j), iface.nu)
     return _div_functional(ss, iface, delta, r_nu), r_nu
 
 
@@ -217,7 +218,7 @@ def ledger_remainder(Ee):
     return sum(Ee ** (k / 2) for k in range(3, 9))
 
 
-def interface_residual_values(state, model, gamma, surf, v_f):
+def interface_residual_values(state, gamma, surf, v_f):
     """Velocity-matching L2 residual and stress-matching dual-norm residual
     of the transmission conditions, with the elastic traction from w.
 
@@ -226,7 +227,7 @@ def interface_residual_values(state, model, gamma, surf, v_f):
     """
     iface = state.problem.interface
     nu = iface.nu
-    trac = matvec(model.pk1(surf), nu)
+    trac = matvec(state.problem.model.pk1(surf), nu)
     vel = np.sqrt(iface.l2_norm_sq(iface.values("solid", [state.wt])[:, 0] - v_f + gamma * trac))
     Dv_f = iface.gradients("fluid", [state.v])[:, :, 0]
     q_f = iface.values("pressure", [state.q])[0, 0]
@@ -267,15 +268,13 @@ class _RunningBalance:
 class TrajectoryRecorder:
     """Per-step reports plus running trapezoidal balance residuals."""
 
-    def __init__(self, problem, model, cfg):
-        self.problem = problem
-        self.model = model
+    def __init__(self, cfg):
         self.cfg = cfg
         self.reports = []
         self._balances = [_RunningBalance(j) for j in range(4)]
 
     def add(self, state):
-        rep = compute_report(self.problem, self.model, self.cfg, state.past())
+        rep = compute_report(self.cfg, state.past())
         self.reports.append(rep)
         for name, balance in zip(RESIDUAL_COLUMNS, self._balances):
             setattr(rep, name, balance.add(rep, self.cfg.gamma))

@@ -32,7 +32,7 @@ def assemble_fluid_operator(kin, vspace, pspace):
             kernels.div_elements(kin.a, vspace.gradt, valp, vspace.wdet))
 
 
-def solve_initial_pressure(problem, v0, w0, model):
+def solve_initial_pressure(problem, v0, w0):
     """Pressure at t = 0 from the elliptic problem driven by the initial
     velocity gradients, with the stress-matching Dirichlet datum on the
     interface and the weak normal-Laplacian datum on the outer boundary.
@@ -68,7 +68,7 @@ def solve_initial_pressure(problem, v0, w0, model):
     # facets that share the vertex
     k = np.repeat(np.arange(iface.nfac), d)
     verts = mesh.facets[iface.facets].ravel()
-    vals = _vertex_datum(iface, k, mesh.vertices[verts], iface.normal[k], v0, w0, model)
+    vals = _vertex_datum(iface, k, mesh.vertices[verts], iface.normal[k], v0, w0, problem.model)
     dofs = pspace.g2l[verts]
     count = np.bincount(dofs, minlength=pspace.nscalar)
     fixed = np.flatnonzero(count)

@@ -109,13 +109,13 @@ def test_criterion_2_kinematic_exactness():
     ccfg = cfg.coupling_config(dt=5e-3)
     init = cfg.make_initial_data()
     problem = CoupledProblem(mesh, model)
-    state = initial_state(problem, ccfg, model, *init.build(problem))
+    state = initial_state(problem, ccfg, *init.build(problem))
     rep0 = kinematic_bounds_report(state.kin)
     ok = (rep0.sup_dist_a_identity == 0.0 and rep0.sup_dist_aaT_identity == 0.0
           and rep0.min_ellipticity == 1.0)
     worst = 0.0
     for n in range(40):
-        state = coupled_step(state, ccfg, model, step_index=n + 1)
+        state = coupled_step(state, ccfg, step_index=n + 1)
         kin = state.kin
         err = np.einsum("cqij,cqjl->cqil", pm(kin.a), pm(kin.grad_eta)) - np.eye(2)
         errf = np.einsum("fqij,fqjl->fqil", pm(kin.a_facet), pm(kin.grad_eta_facet)) - np.eye(2)
@@ -244,8 +244,7 @@ def test_criterion_8_equilibrium_and_degenerate():
 
     rep_lin, state_lin = _standard_run(1.0, 1e-2, 0.05, material_kind=LIN)
     ok &= state_lin.newton_info["iterations"] == 1
-    lin = make_material(LIN, 1.0, 1.0)
-    rvec, rsurf = remainder(state_lin.problem, lin, 1, remainder_pairs(
+    rvec, rsurf = remainder(state_lin.problem, 1, remainder_pairs(
         state_lin.problem, [state_lin.w, state_lin.wt, state_lin.wtt]))
     r1_zero = max(np.abs(rvec).max(), np.abs(rsurf).max())
     ok &= r1_zero == 0.0
@@ -276,7 +275,7 @@ def test_criterion_9_small_mesh_oracle():
         q = 1e-3 * np.linspace(-1, 1, problem.pspace.nscalar)
         lam = 1e-3 * np.sin(np.arange(problem.interface.nlam))
         state = CoupledState(problem, v, q, w, wt, wtt, lam, kin, 0.0)
-        new = coupled_step(state, cfg, model)
+        new = coupled_step(state, cfg)
         vo, qo, wo, wto, wtto, lamo = DenseStep(problem, model).step(state, cfg)
         gap = max(np.abs(new.v - vo).max(), np.abs(new.q - qo).max(),
                   np.abs(new.w - wo).max(), np.abs(new.lam - lamo).max())

@@ -194,6 +194,53 @@ def test_cli_gamma_sweep_zero_data(tmp_path, capsys):
         assert all(v == 0.0 for v in vals[1:])
 
 
+def _short_sweep(tmp_path, extra=""):
+    """Run a 2-D res 4 gamma sweep over 0 and 1 of two steps of dt 1e-2 that
+    writes out/run.csv in `tmp_path`, the working directory; return out/."""
+    path = _write(tmp_path, "s.cfg",
+                  "resolution = 4\ndt = 1e-2\nt_end = 0.02\nexperiment.kind = gamma-sweep\n"
+                  f"sweep.gamma = 0,1\noutput.csv = out/run.csv\n{extra}")
+    (tmp_path / "out").mkdir()
+    assert cli.main(["run", path]) == 0
+    return tmp_path / "out"
+
+
+def test_cli_study_echo_reruns_its_run(tmp_path, monkeypatch):
+    # each study run echoes its own config, which reruns it byte for byte
+    monkeypatch.chdir(tmp_path)
+    out = _short_sweep(tmp_path)
+    for gamma in ("0", "1"):
+        csv = out / f"run_gamma{gamma}.csv"
+        echo = csv.with_name(csv.name + ".config")
+        text = echo.read_text()
+        assert f"gamma = {float(gamma)}" in text and "experiment.kind = single" in text
+        assert f"output.csv = out/run_gamma{gamma}.csv" in text
+        first = csv.read_bytes()
+        csv.unlink()
+        assert cli.main(["run", str(echo)]) == 0
+        assert csv.read_bytes() == first
+
+
+def test_cli_sweep_writes_each_runs_snapshots_next_to_its_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = _short_sweep(tmp_path, "output.vtk_every = 1\n")
+    vtks = sorted(p.name for p in out.glob("*.vtk"))
+    assert vtks == [f"run_gamma{g}_00000{n}.vtk" for g in (0, 1) for n in (1, 2)]
+    assert len({(out / name).read_bytes() for name in vtks}) == 4
+    assert not list(tmp_path.glob("*.vtk"))
+
+
+def test_cli_short_sweep_reports_unfittable_series_as_nan(tmp_path, monkeypatch):
+    # two steps: X is NaN on every report, V0e has too few samples; neither
+    # is an identically zero series, so neither fit reads 0
+    monkeypatch.chdir(tmp_path)
+    out = _short_sweep(tmp_path)
+    lines = (out / "run_sweep_summary.txt").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert all(np.isnan(float(tok)) for tok in line.split()[1:])
+
+
 def test_cli_dt_study(tmp_path, capsys):
     path = _write(
         tmp_path, "d.cfg",
@@ -246,7 +293,7 @@ def test_cli_solver_failure_exits_2_and_leaves_an_empty_csv(tmp_path, capsys, mo
     # the step fails, and so does the first half of its dt/2 retry
     steps = []
 
-    def failing_step(state, cfg, model, step_index=0):
+    def failing_step(state, cfg, step_index=0):
         steps.append(step_index)
         raise SolverError("injected failure")
 
@@ -267,6 +314,20 @@ def test_cli_mesh_degeneration_exits_3_and_leaves_an_empty_csv(tmp_path, capsys,
     csv = tmp_path / "run.csv"
     assert cli.main(["run", _failing_run(tmp_path, csv)]) == 3
     assert capsys.readouterr().err.startswith("mesh degeneration: injected degeneration")
+    assert csv.read_bytes() == b""
+    assert not (tmp_path / "run.csv.config").exists()
+
+
+@pytest.mark.parametrize("kind", list(material.KINDS))
+def test_cli_folded_flow_map_exits_3(tmp_path, capsys, kind):
+    # a fast swirl at low viscosity folds the flow map at the second step
+    csv = tmp_path / "run.csv"
+    path = _write(tmp_path, "fold.cfg",
+                  f"resolution = 4\nmaterial.kind = {kind}\ninit.mode = swirl\n"
+                  "init.amplitude = 3\nviscosity = 0.01\ndt = 0.05\nt_end = 0.2\n"
+                  f"output.csv = {csv}\n")
+    assert cli.main(["--allow-large", "run", path]) == 3
+    assert capsys.readouterr().err.startswith("mesh degeneration: det(D eta) <= 0 at t=0.1")
     assert csv.read_bytes() == b""
     assert not (tmp_path / "run.csv.config").exists()
 

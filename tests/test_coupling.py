@@ -35,12 +35,12 @@ def _small_run(gamma=1.0, dt=1e-2, t_end=0.1, kind=SVK, amplitude=1e-3, res=5,
     return run_simulation(cfg.coupling_config(**kw), cfg.make_initial_data(), model, mesh)
 
 
-def interface_residuals(state, model, gamma):
+def interface_residuals(state, gamma):
     """`interface_residual_values` of `state`, with the interface gradient of
     w and the facet values of v that the report passes it."""
     iface = state.problem.interface
     surf = Pairs([iface.gradients("solid", [state.w])[:, :, 0]])
-    return interface_residual_values(state, model, gamma, surf,
+    return interface_residual_values(state, gamma, surf,
                                      iface.values("fluid", [state.v])[:, 0])
 
 
@@ -144,7 +144,7 @@ def test_coupled_step_matches_dense_oracle(kind):
     problem = CoupledProblem(mesh, model)
     cfg = RunConfig(gamma=0.7, dt=0.01, newton_tol=1e-13)
     state = _manufactured_state(problem, model, cfg)
-    new = coupled_step(state, cfg, model)
+    new = coupled_step(state, cfg)
     oracle = DenseStep(problem, model)
     v, q, w, wt, wtt, lam = oracle.step(state, cfg)
     assert np.abs(new.v - v).max() <= 1e-10
@@ -159,15 +159,15 @@ def test_interface_residuals_equilibrium_and_perturbation():
     model = make_material(LIN, 1.0, 1.0)
     problem = CoupledProblem(mesh, model)
     cfg = RunConfig(gamma=0.0, dt=1e-2)
-    z = initial_state(problem, cfg, model, problem.vspace.zeros(),
+    z = initial_state(problem, cfg, problem.vspace.zeros(),
                       problem.sspace.zeros(), problem.sspace.zeros())
-    assert interface_residuals(z, model, 0.0) == (0.0, 0.0)
+    assert interface_residuals(z, 0.0) == (0.0, 0.0)
     # baseline with matching traces, then perturb v on the interface by delta
     iface = problem.interface
     fun = lambda x: 1e-3 * np.array([x[1], -x[0]])
     z.v = problem.vspace.interpolate(fun)
     z.wt = problem.sspace.interpolate(fun)
-    vel0, _ = interface_residuals(z, model, 0.0)
+    vel0, _ = interface_residuals(z, 0.0)
     assert vel0 <= 1e-14
     delta = problem.vspace.zeros()
     tr_dofs = iface.trace_to_fluid
@@ -176,7 +176,7 @@ def test_interface_residuals_equilibrium_and_perturbation():
     for i, dof in enumerate(tr_dofs):
         delta[2 * dof:2 * dof + 2] = vals[i]
     z.v = z.v + delta
-    vel1, _ = interface_residuals(z, model, 0.0)
+    vel1, _ = interface_residuals(z, 0.0)
     norm_delta = np.sqrt(iface.l2_norm_sq(iface.values("fluid", [delta])[:, 0]))
     assert vel1 == pytest.approx(norm_delta, rel=1e-12)
 
@@ -203,9 +203,9 @@ def test_interface_projection_gap_shrinks_with_h():
         cfg = RunConfig(resolution=res)
         model = cfg.make_material()
         problem = CoupledProblem(cfg.make_mesh(), model)
-        state = initial_state(problem, cfg.coupling_config(), model,
+        state = initial_state(problem, cfg.coupling_config(),
                               *cfg.make_initial_data().build(problem))
-        gaps.append(interface_residuals(state, model, cfg.gamma)[0])
+        gaps.append(interface_residuals(state, cfg.gamma)[0])
     assert 0 < gaps[1] < gaps[0]
 
 
@@ -304,11 +304,11 @@ def test_retry_keeps_history_spaced_by_dt(monkeypatch):
     failed = []
     infos = []
 
-    def fail_once_at_step_10(state, cfg, model, step_index=0):
+    def fail_once_at_step_10(state, cfg, step_index=0):
         if step_index == 10 and not failed:
             failed.append(cfg.dt)
             raise SolverError("injected failure")
-        new = step(state, cfg, model, step_index)
+        new = step(state, cfg, step_index)
         infos.append((step_index, cfg.dt, new.newton_info))
         return new
 
@@ -341,10 +341,10 @@ def test_factor_kept_across_steps_matches_fresh_factors(monkeypatch):
     for fresh in (False, True):
         infos = []
 
-        def counted_step(state, cfg, model, step_index=0):
+        def counted_step(state, cfg, step_index=0):
             if fresh:
                 state.problem.factor.lu = None
-            new = step(state, cfg, model, step_index)
+            new = step(state, cfg, step_index)
             infos.append(new.newton_info)
             return new
 
@@ -369,8 +369,8 @@ def test_three_dimensional_step():
 
     problem = CoupledProblem(mesh, model)
     ccfg = cfg.coupling_config()
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
-    new = coupled_step(state, ccfg, model)
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
+    new = coupled_step(state, ccfg)
     assert np.abs(new.w).max() > 0
     assert np.isfinite(new.v).all()
 
@@ -380,30 +380,39 @@ def test_vtk_and_system_dumps(tmp_path, monkeypatch):
     cfg = RunConfig(resolution=5, dt=1e-2, t_end=0.02)
     mesh = cfg.make_mesh()
     model = cfg.make_material()
-    ccfg = cfg.coupling_config(output_vtk_every=1, vtk_prefix=str(tmp_path / "snap"),
-                               dump_systems=True, dump_prefix=str(tmp_path / "sys"))
+    ccfg = cfg.coupling_config(output_vtk_every=1, dump_systems=True,
+                               output_csv=str(tmp_path / "run.csv"))
     run_simulation(ccfg, cfg.make_initial_data(), model, mesh)
-    vtks = sorted(tmp_path.glob("snap_*.vtk"))
+    vtks = sorted(tmp_path.glob("run_*.vtk"))
     assert len(vtks) == 2
     text = vtks[0].read_text()
     assert "VECTORS velocity" in text and "VECTORS displacement" in text
-    dumps = sorted(tmp_path.glob("sys_*.txt"))
+    dumps = sorted(tmp_path.glob("run_system_*.txt"))
     assert len(dumps) == 4  # two Newton iterates in each step
     # the first dump is the assembled J and the residual at the initial
     # state, against the block assembly with the reference solid stiffness
-    lines = (tmp_path / "sys_step1_it0.txt").read_text().splitlines()
+    lines = (tmp_path / "run_system_step1_it0.txt").read_text().splitlines()
     n = int(lines[0].split()[1])
     split = lines.index("# rhs")
     r, c, v = np.loadtxt(lines[1:split], ndmin=2).T
     J = sp.csc_matrix((v, (r.astype(int), c.astype(int))), shape=(n, n))
     rhs = np.loadtxt(lines[split + 1:], ndmin=2)[:, 1]
     problem = CoupledProblem(mesh, model)
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
-    tangent, residual = _block_step(problem, state, ccfg, model)
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
+    tangent, residual = _block_step(problem, state, ccfg)
     u0 = np.concatenate([state.v[problem.free_fluid], state.q, state.w, state.lam])
     ref = tangent(state.w)
     assert abs(J - ref).max() <= 1e-14 * np.abs(ref.data).max()
     assert np.abs(rhs - residual(u0)).max() <= 1e-12 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("setting", [{"output_vtk_every": 1}, {"dump_systems": True}],
+                         ids=["vtk", "dumps"])
+def test_files_named_from_the_csv_need_one(setting):
+    # VTK snapshots and system dumps take the CSV's base: without a CSV the
+    # run fails before any work (it is handed no mesh, data or material)
+    with pytest.raises(PreconditionError, match="output_csv"):
+        run_simulation(RunConfig(**setting), None, None, None)
 
 
 def test_system_dumps_keep_every_iterate_of_a_retried_step(tmp_path, monkeypatch):
@@ -414,11 +423,11 @@ def test_system_dumps_keep_every_iterate_of_a_retried_step(tmp_path, monkeypatch
     step, solve = coupling.coupled_step, solidmod.newton_solve
     failed, iterations = [], []
 
-    def fail_once_at_step_2(state, cfg, model, step_index=0):
+    def fail_once_at_step_2(state, cfg, step_index=0):
         if step_index == 2 and not failed:
             failed.append(step_index)
             raise SolverError("injected failure")
-        return step(state, cfg, model, step_index)
+        return step(state, cfg, step_index)
 
     def counted(*args, **kwargs):
         u, info = solve(*args, **kwargs)
@@ -428,12 +437,12 @@ def test_system_dumps_keep_every_iterate_of_a_retried_step(tmp_path, monkeypatch
     monkeypatch.setattr(coupling, "coupled_step", fail_once_at_step_2)
     monkeypatch.setattr(solidmod, "newton_solve", counted)
     cfg = RunConfig(resolution=4, dt=1e-2, t_end=0.03)
-    ccfg = cfg.coupling_config(dump_systems=True, dump_prefix=str(tmp_path / "sys"))
+    ccfg = cfg.coupling_config(dump_systems=True, output_csv=str(tmp_path / "run.csv"))
     run_simulation(ccfg, cfg.make_initial_data(), cfg.make_material(), cfg.make_mesh())
-    dumps = {p.name for p in tmp_path.glob("sys_*.txt")}
+    dumps = {p.name for p in tmp_path.glob("run_system_*.txt")}
     assert failed == [2] and len(iterations) == 4
     assert len(dumps) == sum(iterations)
-    assert {"sys_step2_half1_it0.txt", "sys_step2_half2_it0.txt"} <= dumps
+    assert {"run_system_step2_half1_it0.txt", "run_system_step2_half2_it0.txt"} <= dumps
 
 
 def fluid_matrices(problem, kin):
@@ -447,7 +456,7 @@ def fluid_matrices(problem, kin):
     return K, ps.assembly(vs).matrix(B)
 
 
-def _block_step(problem, state, cfg, model):
+def _block_step(problem, state, cfg):
     """The coupled tangent (as a function of w) and residual of one step,
     assembled block by block with sp.bmat and [free][:, free] slicing, with
     the fluid matrices of `fluid_matrices` and the solid stiffness from the
@@ -455,7 +464,7 @@ def _block_step(problem, state, cfg, model):
     from lagfsi import solid as solidmod
 
     vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
-    dt, free = cfg.dt, problem.free_fluid
+    model, dt, free = problem.model, cfg.dt, problem.free_fluid
     K, B = fluid_matrices(problem, state.kin)
     A_ff = (problem.M_fluid / dt + cfg.viscosity * K).tocsr()[free][:, free]
     B_f = B.tocsc()[:, free]
@@ -510,12 +519,12 @@ def test_pattern_tangent_matches_block_assembly(monkeypatch, dim, res, gamma):
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
     ccfg = cfg.coupling_config()
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
     calls = _record_newton(monkeypatch)
     nf, nq, nw, _ = problem.tangent.sizes
     for k in range(4):
-        tangent, residual = _block_step(problem, state, ccfg, model)
-        new = coupled_step(state, ccfg, model, k + 1)
+        tangent, residual = _block_step(problem, state, ccfg)
+        new = coupled_step(state, ccfg, k + 1)
         J_fn, R_fn, u0 = calls[-1]
         rng = np.random.default_rng(k)
         for u in (u0, u0 + 1e-3 * rng.standard_normal(len(u0))):
@@ -541,8 +550,8 @@ def test_fluid_blocks_match_scattered_matrices_bit_for_bit(dim, res):
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
     ccfg = cfg.coupling_config()
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
-    state = coupled_step(state, ccfg, model, 1)
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
+    state = coupled_step(state, ccfg, 1)
     vs, ps, ss, iface = problem.vspace, problem.pspace, problem.sspace, problem.interface
     free = problem.free_fluid
     nf, nq = problem.tangent.sizes[:2]
@@ -615,15 +624,15 @@ def test_half_step_after_full_steps_matches_fresh_problem():
     mesh = cfg.make_mesh()
     problem = CoupledProblem(mesh, model)
     ccfg = cfg.coupling_config()
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
     for n in range(3):
-        state = coupled_step(state, ccfg, model, n + 1)
+        state = coupled_step(state, ccfg, n + 1)
     half = ccfg.coupling_config(dt=ccfg.dt / 2)
-    reused = coupled_step(state, half, model, 4)
+    reused = coupled_step(state, half, 4)
     fresh_problem = CoupledProblem(mesh, model)
     copy = CoupledState(fresh_problem, state.v, state.q, state.w, state.wt, state.wtt,
                         state.lam, state.kin, state.time)
-    fresh = coupled_step(copy, half, model, 4)
+    fresh = coupled_step(copy, half, 4)
     for name in ("v", "q", "w", "lam"):
         a, b = getattr(reused, name), getattr(fresh, name)
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name

@@ -56,6 +56,12 @@ def problem():
 
 
 @pytest.fixture(scope="module")
+def linear_problem(problem):
+    # the same mesh with the linear law
+    return CoupledProblem(problem[0].mesh, make_material(LIN, 1.0, 1.0))
+
+
+@pytest.fixture(scope="module")
 def run60():
     # 2-D res 5, gamma = 1, 60 steps: every level's balance is defined
     cfg = RunConfig(resolution=5, dt=5e-3, t_end=0.3, gamma=1.0)
@@ -65,11 +71,11 @@ def run60():
     return cfg, model, reports, final
 
 
-def _zero_state(problem, model):
+def _zero_state(problem):
     from lagfsi.coupling import initial_state
 
     cfg = RunConfig(dt=1e-2)
-    return initial_state(problem, cfg, model, problem.vspace.zeros(),
+    return initial_state(problem, cfg, problem.vspace.zeros(),
                          problem.sspace.zeros(), problem.sspace.zeros())
 
 
@@ -80,8 +86,8 @@ def remainder_pairs(problem, fields):
     return tuple(Pairs(np.moveaxis(g, 2, 0)) for g in grads)
 
 
-def _report(problem, model, states, gamma=1.0):
-    return compute_report(problem, model, RunConfig(gamma=gamma, dt=1e-2), states)
+def _report(states, gamma=1.0):
+    return compute_report(RunConfig(gamma=gamma, dt=1e-2), states)
 
 
 def test_backward_difference_polynomial_exactness():
@@ -97,23 +103,23 @@ def test_backward_difference_polynomial_exactness():
 
 
 def test_level_energy_zero_state(problem):
-    prob, model = problem
-    state = _zero_state(prob, model)
-    rep = _report(prob, model, [state] * 5)
+    prob, _ = problem
+    state = _zero_state(prob)
+    rep = _report([state] * 5)
     for j in range(4):
         assert getattr(rep, f"V{j}e") == 0.0 and getattr(rep, f"V{j}") == 0.0
     # insufficient history yields the not-available marker
-    rep = _report(prob, model, [state])
+    rep = _report([state])
     assert np.isnan(rep.V3e) and np.isnan(rep.V3)
 
 
 def test_level_energy_rigid_translation(problem):
     # constant displacement: only the zeroth-order mass term survives
-    prob, model = problem
-    state = _zero_state(prob, model)
+    prob, _ = problem
+    state = _zero_state(prob)
     c = np.array([0.02, -0.01])
     state.w = prob.sspace.interpolate(lambda x: c)
-    rep = _report(prob, model, [state])
+    rep = _report([state])
     area = prob.mesh.region_volume(SOLID)
     assert rep.V0e == pytest.approx(0.5 * (c @ c) * area, rel=1e-12)
     assert rep.V0 == pytest.approx(rep.V0e, rel=1e-12)
@@ -124,7 +130,7 @@ def test_level_energy_secant_oracle(problem):
     # twice the stored-energy increment only to cubic order
     prob, model = problem
     ss = prob.sspace
-    state = _zero_state(prob, model)
+    state = _zero_state(prob)
     state.w = ss.interpolate(
         lambda x: 1e-2 * np.array([np.sin(3 * x[0]) + x[1] ** 2, x[0] * x[1]])
     )
@@ -138,17 +144,17 @@ def test_level_energy_secant_oracle(problem):
 
 
 def test_dissipation_structure(problem):
-    prob, model = problem
-    state = _zero_state(prob, model)
-    assert _report(prob, model, [state]).D0 == 0.0
+    prob, _ = problem
+    state = _zero_state(prob)
+    assert _report([state]).D0 == 0.0
     rng = np.random.default_rng(1)
     state.v = 1e-3 * rng.standard_normal(prob.vspace.ndof)
     state.lam = 1e-3 * rng.standard_normal(prob.interface.nlam)
     # at a = I the fluid part is the plain gradient norm
-    d0 = _report(prob, model, [state], gamma=0.0).D0
+    d0 = _report([state], gamma=0.0).D0
     assert d0 == pytest.approx(grad_norm_sq(prob.vspace, state.v), rel=1e-12)
-    d1 = _report(prob, model, [state], gamma=1.0).D0
-    d2 = _report(prob, model, [state], gamma=2.0).D0
+    d1 = _report([state], gamma=1.0).D0
+    d2 = _report([state], gamma=2.0).D0
     assert d2 - d1 == pytest.approx(d1 - d0, rel=1e-10)  # linear in gamma
 
 
@@ -158,11 +164,11 @@ def test_ledger_remainder_values():
     assert ledger_remainder(4.0) == 8 + 16 + 32 + 64 + 128 + 256
 
 
-def test_newmark_free_vibration_balance(problem):
+def test_newmark_free_vibration_balance(linear_problem):
     # decoupled linear solid: the j=0 balance reduces to the integrator's
     # exact energy bookkeeping, so the residual is roundoff-sized
-    prob, _ = problem
-    lin = make_material(LIN, 1.0, 1.0)
+    prob = linear_problem
+    lin = prob.model
     ss = prob.sspace
     import scipy.sparse.linalg as spla
 
@@ -175,7 +181,7 @@ def test_newmark_free_vibration_balance(problem):
     wtt = spla.spsolve(M, -(K @ w))
     lhs = spla.factorized((M + beta * dt * dt * K).tocsc())
     cfg = RunConfig(gamma=0.0, dt=dt)
-    recorder = TrajectoryRecorder(prob, lin, cfg)
+    recorder = TrajectoryRecorder(cfg)
     kin = KinematicState.initial(prob.vspace, prob.interface)
     state = CoupledState(prob, prob.vspace.zeros(), np.zeros(prob.pspace.nscalar),
                          w, wt, wtt, np.zeros(prob.interface.nlam), kin, 0.0)
@@ -236,18 +242,16 @@ def test_coefficient_rate_terms_symbolic(problem):
     assert y_int == pytest.approx(0.0, abs=1e-12)
 
 
-def test_remainder_linear_model_zero(problem):
+def test_remainder_linear_model_zero(problem, linear_problem):
     prob, _ = problem
-    lin = make_material(LIN, 1.0, 1.0)
-    state = _zero_state(prob, lin)
+    state = _zero_state(linear_problem)
     rng = np.random.default_rng(2)
     state.wt = 1e-2 * rng.standard_normal(prob.sspace.ndof)
     state.wtt = 1e-2 * rng.standard_normal(prob.sspace.ndof)
     pairs = remainder_pairs(prob, [state.w, state.wt, state.wtt])
-    rvec, rsurf = remainder(prob, lin, 1, pairs)
+    rvec, rsurf = remainder(linear_problem, 1, pairs)
     assert np.abs(rvec).max() == 0.0 and np.abs(rsurf).max() == 0.0
-    svk = make_material(SVK, 1.0, 1.0)
-    rvec, rsurf = remainder(prob, svk, 1, pairs)
+    rvec, rsurf = remainder(prob, 1, pairs)  # SVK, lambda = mu = 1
     assert np.abs(rvec).max() > 0
 
 
@@ -466,10 +470,10 @@ def test_report_contractions_match_einsum(problem, run60):
     states = final.past()
     st, dt = states[-1], cfg.dt
     iface = st.problem.interface
-    g = compute_report(st.problem, model, cfg.coupling_config(), states).integrands
+    g = compute_report(cfg.coupling_config(), states).integrands
     w3 = backward_difference([s.wtt for s in states], 1, dt)
     for j, w_top in ((1, st.wtt), (2, w3)):
-        _, r_nu = remainder(st.problem, model, j,
+        _, r_nu = remainder(st.problem, j,
                             remainder_pairs(st.problem, [st.w, st.wt, st.wtt, w3][:j + 2]))
         v_top = backward_difference([s.v for s in states], j + 1, dt)
         surf = Pairs(np.moveaxis(iface.gradients("solid", [st.w, w_top]), 2, 0))
@@ -484,7 +488,7 @@ def test_report_evaluates_each_derivative_once(run60, monkeypatch):
     # a full ring: each space and point set evaluates its stacked levels with
     # one values call and one gradients call of the batched evaluators (the
     # pressure at the quadrature points is cached on the states)
-    cfg, model, _, final = run60
+    cfg, _, _, final = run60
     states = final.past()
     assert len(states) == 6
     calls = []
@@ -494,7 +498,7 @@ def test_report_evaluates_each_derivative_once(run60, monkeypatch):
             return _original(table, U, ncomp)
 
         monkeypatch.setattr(spaces, name, counted)
-    rep = compute_report(final.problem, model, cfg.coupling_config(), states)
+    rep = compute_report(cfg.coupling_config(), states)
     assert not np.isnan(rep.V3) and not np.isnan(rep.Ee) and not np.isnan(rep.X)
     assert len(set(calls)) == len(calls), calls
     # values: solid, fluid; on the interface fluid, solid, trace and pressure

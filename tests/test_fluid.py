@@ -119,8 +119,8 @@ def test_ellipticity_precondition():
 
 
 def test_initial_pressure_zero_data(annulus):
-    problem, model = annulus
-    q0 = solve_initial_pressure(problem, problem.vspace.zeros(), problem.sspace.zeros(), model)
+    problem, _ = annulus
+    q0 = solve_initial_pressure(problem, problem.vspace.zeros(), problem.sspace.zeros())
     assert np.abs(q0).max() == 0.0
 
 
@@ -132,7 +132,7 @@ def test_initial_pressure_harmonic_oracle(annulus):
     ss, ps = problem.sspace, problem.pspace
     mesh = problem.mesh
     w0 = ss.interpolate(lambda x: 1e-3 * x * (1 - (x @ x) / 0.16))
-    q0 = solve_initial_pressure(problem, problem.vspace.zeros(), w0, model)
+    q0 = solve_initial_pressure(problem, problem.vspace.zeros(), w0)
 
     # oracle stiffness: P1 cotangent-free direct assembly with hand formulas
     n = ps.nscalar

@@ -20,6 +20,10 @@ No element sum goes through a ufunc's `.at` method (`np.add.at` and
 the like): every element-to-dof sum is an `np.bincount` on an index array,
 the one primitive the matrix sums use too.
 
+No library function or method takes a material `model` next to a
+`problem` or a `state`: the problem holds the run's one law, so a second
+argument could only disagree with it.
+
 Every library name the benchmark's tracer (`perfbench/tracer.py`) patches
 still exists, so a rename shows here and not only in the benchmark's own
 tests.
@@ -231,6 +235,34 @@ def test_guard_flags_a_ufunc_at_call(tmp_path):
         "    return np.bincount(i, x, minlength=len(out)), out.at\n"
     )
     assert ufunc_at_calls(tmp_path) == ["mod:6", "mod:7"]
+
+
+def model_beside_problem(src=SRC):
+    """module.qualified name of every function or method with a `model`
+    parameter next to a `problem` or `state` parameter."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for _, qualname, _, node, _ in _optional_parameters(path.stem, tree):
+            args = node.args
+            names = {p.arg for p in args.posonlyargs + args.args + args.kwonlyargs}
+            if "model" in names and names & {"problem", "state"}:
+                out.append(f"{path.stem}.{qualname}")
+    return out
+
+
+def test_no_model_beside_a_problem():
+    assert model_beside_problem() == []
+
+
+def test_guard_flags_a_model_beside_a_problem(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def step(state, cfg, model):\n    return state\n\n\n"
+        "def force(model, space):\n    return model\n\n\n"
+        "class Recorder:\n    def __init__(self, problem, *, model=None):\n        pass\n\n"
+        "    def add(self, state):\n        return state\n"
+    )
+    assert model_beside_problem(tmp_path) == ["mod.step", "mod.Recorder.__init__"]
 
 
 def test_benchmark_traced_names_resolve():

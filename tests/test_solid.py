@@ -294,7 +294,7 @@ def _first_step_tangent(dim, res):
     model = cfg.make_material()
     problem = CoupledProblem(cfg.make_mesh(), model)
     ccfg = cfg.coupling_config()
-    state = initial_state(problem, ccfg, model, *cfg.make_initial_data().build(problem))
+    state = initial_state(problem, ccfg, *cfg.make_initial_data().build(problem))
     elements = fluid.assemble_fluid_operator(state.kin, problem.vspace, problem.pspace)
     return problem.tangent.step_matrix(elements, ccfg.viscosity, ccfg.dt, ccfg.gamma)
 
